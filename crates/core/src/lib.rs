@@ -88,9 +88,9 @@ pub mod prelude {
     pub use crate::kernels::{KernelId, ALL_KERNELS};
     pub use crate::model_io::{load_model_file, save_model_file};
     pub use crate::plan::{
-        confirm_row_ptr, rhs_blocks, BinDispatch, BinFormat, BinPayload, IndexPolicy,
-        PatternFingerprint, PlanConfig, PlanConfigKey, PlanError, ShardedTiles, SpmvPlan, Tile,
-        TrafficStats, VerifiedPlan,
+        confirm_words, rhs_blocks, BinDispatch, BinFormat, BinPayload, IndexPolicy,
+        PatternFingerprint, PlanConfig, PlanConfigKey, PlanError, ShardedTiles, SpmvPlan,
+        StructureKey, Tile, TrafficStats, VerifiedPlan,
     };
     pub use crate::solve::{
         SolveConfig, SolveError, SolvePlan, SolveStep, SymgsPlan, VerifiedSolvePlan,

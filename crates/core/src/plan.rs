@@ -49,43 +49,72 @@ pub struct PatternFingerprint {
 impl PatternFingerprint {
     /// Fingerprint `a`'s sparsity structure. O(m), allocation-free.
     pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &p in a.row_ptr() {
-            h ^= p as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
         Self {
             m: a.n_rows(),
             n: a.n_cols(),
             nnz: a.nnz(),
-            row_ptr_hash: h,
+            row_ptr_hash: fnv1a(row_ptr_words(a)),
         }
-    }
-
-    /// A second, independent row-pointer checksum ([`confirm_row_ptr`])
-    /// for `a` — what a cache layer stores next to a fingerprinted entry
-    /// so a hit can be confirmed without trusting FNV-1a alone.
-    pub fn confirm_of<T: Scalar>(a: &CsrMatrix<T>) -> u64 {
-        confirm_row_ptr(a.row_ptr())
     }
 }
 
-/// Position-mixed SplitMix64 checksum over a row-pointer array: each
-/// element is finalized together with its index, and the results are
+/// The full sparsity structure of a CSR matrix: the row-pointer
+/// [`PatternFingerprint`] plus an FNV-1a hash of the column indices.
+/// Kernels bake column structure into a plan (the banded kernel's band
+/// offsets, packed slabs' index payloads), so a plan cache keys on this,
+/// not on the fingerprint alone: two matrices that share `row_ptr` but
+/// not `col_idx` are different structures.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct StructureKey {
+    /// Dimensions, NNZ and the row-pointer hash.
+    pub pattern: PatternFingerprint,
+    /// FNV-1a over `col_idx`.
+    pub col_hash: u64,
+}
+
+impl StructureKey {
+    /// Key `a`'s full sparsity structure. O(m + nnz), allocation-free.
+    pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
+        Self {
+            pattern: PatternFingerprint::of(a),
+            col_hash: fnv1a(a.col_idx().iter().map(|&c| u64::from(c))),
+        }
+    }
+
+    /// A second, independent checksum of `a`'s structure
+    /// ([`confirm_words`] over `row_ptr` then `col_idx`) — what a cache
+    /// layer stores next to a keyed entry so a hit can be confirmed
+    /// without trusting FNV-1a alone. O(m + nnz), allocation-free.
+    pub fn confirm_of<T: Scalar>(a: &CsrMatrix<T>) -> u64 {
+        confirm_words(row_ptr_words(a).chain(a.col_idx().iter().map(|&c| u64::from(c))))
+    }
+}
+
+fn row_ptr_words<T: Scalar>(a: &CsrMatrix<T>) -> impl Iterator<Item = u64> + '_ {
+    a.row_ptr().iter().map(|&p| p as u64)
+}
+
+/// FNV-1a over a sequence of 64-bit words.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Position-mixed SplitMix64 checksum over a sequence of words: each
+/// word is finalized together with its index, and the results are
 /// combined with wrapping addition. Structurally unrelated to the FNV-1a
-/// multiply-xor chain in [`PatternFingerprint::of`], so an adversarially
-/// forged (or astronomically unlucky) FNV collision does not also
-/// collide here — the confirmation a plan cache performs before reusing
-/// an entry whose fingerprint matched. O(m), allocation-free.
-pub fn confirm_row_ptr(row_ptr: &[usize]) -> u64 {
-    let mut acc: u64 = 0;
-    for (i, &p) in row_ptr.iter().enumerate() {
-        let mut z = (p as u64) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// multiply-xor chains in [`PatternFingerprint`] and [`StructureKey`], so
+/// an adversarially forged (or astronomically unlucky) FNV collision
+/// does not also collide here — the confirmation a plan cache performs
+/// before reusing an entry whose key matched.
+pub fn confirm_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().zip(0u64..).fold(0u64, |acc, (w, i)| {
+        let mut z = w ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        acc = acc.wrapping_add(z ^ (z >> 31));
-    }
-    acc
+        acc.wrapping_add(z ^ (z >> 31))
+    })
 }
 
 /// Why a plan refused to execute.
@@ -1616,22 +1645,20 @@ mod tests {
 
     #[test]
     fn confirm_checksum_is_independent_of_fnv() {
-        // Same multiset of row-pointer values in a different order: the
+        // Same multiset of words in a different order: the
         // position-mixed confirm checksum must separate what a purely
         // value-driven digest could conflate, and any structural change
         // must move it.
-        let a = [0usize, 2, 5, 9];
-        let b = [0usize, 5, 2, 9];
-        assert_ne!(confirm_row_ptr(&a), confirm_row_ptr(&b));
-        assert_eq!(confirm_row_ptr(&a), confirm_row_ptr(&[0, 2, 5, 9]));
+        let a = [0u64, 2, 5, 9];
+        let b = [0u64, 5, 2, 9];
+        assert_ne!(confirm_words(a), confirm_words(b));
+        assert_eq!(confirm_words(a), confirm_words([0, 2, 5, 9]));
         let m = gen::random_uniform::<f64>(200, 200, 1, 6, 1);
         let mut v = m.clone();
         v.fill_values_with(|k| k as f64);
-        // Value-only updates leave the structural confirm unchanged.
-        assert_eq!(
-            PatternFingerprint::confirm_of(&m),
-            PatternFingerprint::confirm_of(&v)
-        );
+        // Value-only updates leave the structure key and confirm unchanged.
+        assert_eq!(StructureKey::of(&m), StructureKey::of(&v));
+        assert_eq!(StructureKey::confirm_of(&m), StructureKey::confirm_of(&v));
     }
 
     #[test]
