@@ -18,13 +18,12 @@
 //! Knobs: `SPMV_BENCH_ITERS` (timed iterations, default 20),
 //! `SPMV_BENCH_ADAPTIVE_OUT` (output path, default
 //! `BENCH_adaptive.json`), `SPMV_BENCH_TINY=1` (small synthetic banded
-//! matrix — the CI smoke mode), and the serving-layer refinement knobs
-//! `SPMV_REFINE` / `SPMV_REFINE_DIVERGENCE` (this bench defaults the
-//! mode to `auto` when `SPMV_REFINE` is unset, since an off-mode
-//! convergence report would be vacuous).
+//! matrix — the CI smoke mode), and the serving-layer refinement mode
+//! `SPMV_REFINE` (this bench defaults it to `auto` when unset, since an
+//! off-mode convergence report would be vacuous).
 
 use spmv_autotune::prelude::*;
-use spmv_bench::setup::env_usize;
+use spmv_bench::setup::{env_usize, gflops, json_escape};
 use spmv_serve::{classify_plan, probe_candidate, RefineConfig, RefineMode};
 use spmv_sparse::{gen, suite, CsrMatrix, IndexKind};
 use std::fmt::Write as _;
@@ -112,13 +111,6 @@ fn warmup(plan: &VerifiedPlan<f32>, a: &CsrMatrix<f32>, v: &[f32]) {
     }
 }
 
-fn gflops(nnz: usize, secs_per_iter: f64) -> f64 {
-    if secs_per_iter <= 0.0 {
-        return 0.0;
-    }
-    2.0 * nnz as f64 / secs_per_iter / 1e9
-}
-
 fn bottleneck_name(b: Bottleneck) -> &'static str {
     match b {
         Bottleneck::MemoryBound => "memory-bound",
@@ -161,7 +153,7 @@ fn measure(
         reference,
         "{label} diverges from the CSR reference"
     );
-    gflops(a.nnz(), secs_per_iter)
+    gflops(a.nnz(), 1, secs_per_iter)
 }
 
 struct Round {
@@ -169,10 +161,6 @@ struct Round {
     bottleneck: &'static str,
     action: &'static str,
     probe_speedup: f64,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

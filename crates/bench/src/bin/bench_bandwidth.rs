@@ -16,10 +16,11 @@
 //! matrices — the CI smoke mode).
 
 use spmv_autotune::prelude::*;
-use spmv_bench::setup::{env_usize, load_suite, scaling_efficiency, sweep_threads};
+use spmv_bench::setup::{
+    env_usize, gflops, json_escape, load_suite, scaling_efficiency, sweep_threads, time_loop,
+};
 use spmv_sparse::{gen, CsrMatrix, IndexKind};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// The format tiers compared. `csr` and `u32` reproduce the pre-PR and
 /// PR 3 layouts; `compressed` isolates the delta lanes (forced past the
@@ -99,28 +100,6 @@ struct MatrixRow {
     tiers: Vec<TierRow>,
 }
 
-fn time_loop(iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..2 {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn gflops(nnz: usize, iters: usize, secs: f64) -> f64 {
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    2.0 * nnz as f64 * iters as f64 / secs / 1e9
-}
-
 fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> MatrixRow {
     let v: Vec<f32> = (0..a.n_cols()).map(|i| ((i % 9) as f32) - 4.0).collect();
     let reference = a.spmv_seq_alloc(&v).unwrap();
@@ -182,10 +161,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
         nnz: a.nnz(),
         tiers: rows,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

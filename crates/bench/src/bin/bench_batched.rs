@@ -22,10 +22,11 @@
 //! `SPMV_BENCH_TINY=1` (three small synthetic matrices — CI smoke mode).
 
 use spmv_autotune::prelude::*;
-use spmv_bench::setup::{env_usize, load_suite, scaling_efficiency, sweep_threads};
+use spmv_bench::setup::{
+    env_usize, gflops, json_escape, load_suite, scaling_efficiency, sweep_threads, time_loop,
+};
 use spmv_sparse::{gen, CsrMatrix, DenseBlock};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const K_VALUES: [usize; 5] = [1, 2, 4, 8, 16];
 
@@ -43,30 +44,6 @@ struct Row {
     n: usize,
     nnz: usize,
     runs: Vec<Run>,
-}
-
-fn time_loop(iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..2 {
-        f(); // warm-up: page in slabs, populate value caches
-    }
-    // Best of three repetitions: the minimum is the standard robust
-    // estimator for throughput on a machine with background noise.
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn effective_gflops(nnz: usize, k: usize, iters: usize, secs: f64) -> f64 {
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    2.0 * nnz as f64 * k as f64 * iters as f64 / secs / 1e9
 }
 
 fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
@@ -122,8 +99,8 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
             runs.push(Run {
                 threads,
                 k,
-                batched_gflops: effective_gflops(a.nnz(), k, iters, batched_secs),
-                sequential_gflops: effective_gflops(a.nnz(), k, iters, sequential_secs),
+                batched_gflops: gflops(a.nnz() * k, iters, batched_secs),
+                sequential_gflops: gflops(a.nnz() * k, iters, sequential_secs),
                 matrix_bytes_per_output: matrix_bytes * n_blocks / k as f64,
             });
         }
@@ -135,10 +112,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
         nnz: a.nnz(),
         runs,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -11,10 +11,11 @@
 
 use spmv_autotune::kernels::cpu::spmv_row_parallel;
 use spmv_autotune::prelude::*;
-use spmv_bench::setup::{env_usize, load_suite, scaling_efficiency, sweep_threads};
+use spmv_bench::setup::{
+    env_usize, gflops, json_escape, load_suite, scaling_efficiency, sweep_threads, time_loop,
+};
 use spmv_sparse::{gen, CsrMatrix};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 struct SweepPoint {
     threads: usize,
@@ -34,30 +35,6 @@ struct Row {
     index_bpn: f64,
     total_bpn: f64,
     sweep: Vec<SweepPoint>,
-}
-
-fn time_loop(iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..2 {
-        f(); // warm-up: page in slabs, populate value caches
-    }
-    // Best of three repetitions: the minimum is the standard robust
-    // estimator for throughput on a machine with background noise.
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn gflops(nnz: usize, iters: usize, secs: f64) -> f64 {
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    2.0 * nnz as f64 * iters as f64 / secs / 1e9
 }
 
 fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
@@ -145,10 +122,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
         total_bpn: traffic.total_bytes_per_nnz(),
         sweep,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

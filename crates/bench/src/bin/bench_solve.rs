@@ -19,11 +19,12 @@
 //! mode).
 
 use spmv_autotune::prelude::*;
-use spmv_bench::setup::{env_usize, load_suite, scaling_efficiency, sweep_threads};
+use spmv_bench::setup::{
+    env_usize, gflops, json_escape, load_suite, scaling_efficiency, sweep_threads, time_loop,
+};
 use spmv_sparse::solve::{sptrsv_seq, symgs_seq, SolveDirection};
 use spmv_sparse::{gen, CooMatrix, CsrMatrix};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// The level-granularity settings compared (`min_parallel_rows` values):
 /// `parallel-all` schedules every level as a barrier-stepped parallel
@@ -82,28 +83,6 @@ struct MatrixRow {
     nnz: usize,
     levels: usize,
     grains: Vec<GrainRow>,
-}
-
-fn time_loop(iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..2 {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn gflops(nnz: usize, iters: usize, secs: f64) -> f64 {
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    2.0 * nnz as f64 * iters as f64 / secs / 1e9
 }
 
 fn probe(n: usize) -> Vec<f32> {
@@ -187,10 +166,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
         levels,
         grains,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -19,10 +19,11 @@
 //! matrices — the CI smoke mode).
 
 use spmv_autotune::prelude::*;
-use spmv_bench::setup::{env_usize, scaling_efficiency, sweep_threads};
+use spmv_bench::setup::{
+    env_usize, gflops, json_escape, scaling_efficiency, sweep_threads, time_loop,
+};
 use spmv_sparse::{gen, suite, CsrMatrix, IndexKind};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// The kernel-table tiers compared. `csr` and `u32` reproduce the
 /// pre-packing and PR 3 layouts; `pr5-auto` is the PR 5 bottleneck-aware
@@ -100,28 +101,6 @@ struct MatrixRow {
     n: usize,
     nnz: usize,
     tiers: Vec<TierRow>,
-}
-
-fn time_loop(iters: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..2 {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn gflops(nnz: usize, iters: usize, secs: f64) -> f64 {
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    2.0 * nnz as f64 * iters as f64 / secs / 1e9
 }
 
 fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> MatrixRow {
@@ -213,10 +192,6 @@ fn structured_suite() -> Vec<(String, CsrMatrix<f32>)> {
         (name.to_string(), meta.generate())
     })
     .collect()
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

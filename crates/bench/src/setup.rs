@@ -7,6 +7,7 @@ use spmv_sparse::corpus::CorpusConfig;
 use spmv_sparse::suite::{suite, SuiteMatrix};
 use spmv_sparse::CsrMatrix;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Read a `usize` knob from the environment with a default.
 pub fn env_usize(name: &str, default: usize) -> usize {
@@ -39,6 +40,40 @@ pub fn scaling_efficiency(threads: usize, gflops: f64, gflops_1: f64) -> f64 {
         return 0.0;
     }
     gflops / (threads as f64 * gflops_1)
+}
+
+/// Wall seconds for `iters` calls of `f`: two warm-up calls (page in
+/// slabs, populate value caches), then the best of three repetitions —
+/// the minimum is the standard robust estimator for throughput on a
+/// machine with background noise.
+pub fn time_loop(iters: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..2 {
+        f();
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// GFLOP/s of `iters` SpMVs over `nnz` non-zeros (2 flops each) taking
+/// `secs` in total. 0 when no time was measured.
+pub fn gflops(nnz: usize, iters: usize, secs: f64) -> f64 {
+    if secs <= 0.0 {
+        return 0.0;
+    }
+    2.0 * nnz as f64 * iters as f64 / secs / 1e9
+}
+
+/// Escape `s` for embedding in a JSON string literal (the bench names
+/// carry no control characters, so quotes and backslashes suffice).
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// A generated suite matrix with its metadata.

@@ -281,11 +281,10 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
 ///
 /// The fused worker cap honours the process placement at construction
 /// ([`Default::default`] / [`new`](Self::new)): `SPMV_PLACEMENT`
-/// (`flat`, `grouped:G`, `pinned:N`) with `SPMV_THREADS=N` as the
-/// back-compat alias for `pinned:N` — see
-/// [`spmv_parallel::topology`]. A malformed value of either variable
-/// warns once on stderr and falls back to flat (all cores), so a typo
-/// is never silently identical to unset. This makes bench runs
+/// (`flat`, `grouped:G`, `pinned:N`) — see
+/// [`spmv_parallel::topology`]. A malformed value warns once on stderr
+/// and falls back to flat (all cores), so a typo is never silently
+/// identical to unset. This makes bench runs
 /// reproducible on shared CI boxes without recompiling.
 /// [`with_workers`](Self::with_workers) still overrides it in code.
 #[derive(Clone, Debug)]
@@ -537,8 +536,8 @@ mod tests {
 
     #[test]
     fn default_backend_workers_follow_the_process_placement() {
-        // The placement grammar itself (including the SPMV_THREADS alias
-        // and malformed-value rejection) is unit-tested in
+        // The placement grammar itself (including malformed-value
+        // rejection) is unit-tested in
         // `spmv_parallel::topology`; here we only pin the mapping from
         // the resolved process placement to the backend's worker cap:
         // flat keeps the "no cap" default, everything else pins it.

@@ -176,7 +176,7 @@ impl std::error::Error for PlanError {}
 pub enum BinFormat {
     /// Generic CSR traversal over the bin's row list — the fallback for
     /// dense/tail bins and for bins whose SELL padding would blow the
-    /// [`PlanConfig::max_padding`] bound.
+    /// `MAX_PADDING` bound.
     Csr,
     /// SELL-style packed slabs ([`PackedSell`]) with the given lane
     /// count, for low/mid-NNZ bins where per-row loop overhead dominates.
@@ -504,8 +504,8 @@ impl IndexPolicy {
 /// Knobs for plan compilation's format and dispatch decisions. The
 /// defaults are what [`SpmvPlan::compile`] uses; benches and tests use
 /// [`SpmvPlan::compile_with`] to pin specific corners (packing off,
-/// fusion off, adversarial padding bounds, forced index widths, tiny
-/// `l2_bytes` to trigger cache blocking on small matrices).
+/// fusion off, forced chunk heights and index widths, tiny `l2_bytes`
+/// to trigger cache blocking on small matrices).
 #[derive(Clone, Copy, Debug)]
 pub struct PlanConfig {
     /// Consider SELL packing at all (`false` forces CSR everywhere).
@@ -514,12 +514,6 @@ pub struct PlanConfig {
     /// the widest of {8, 4, 2} (max 4 for bins under 8 rows) whose
     /// realised padding is tight, else the least-padded candidate.
     pub chunk: usize,
-    /// Maximum `slots / nnz` storage blow-up a packed bin may have;
-    /// above it the bin falls back to CSR (the padding-overflow gate).
-    pub max_padding: f64,
-    /// Bins containing a row longer than this stay CSR — long rows
-    /// neither suffer per-row overhead nor pack well.
-    pub max_row_nnz: usize,
     /// Execute through the single-scope fused tile queue (`false` keeps
     /// one backend launch per bin).
     pub fused: bool,
@@ -548,10 +542,10 @@ pub struct PlanConfig {
     /// save no DRAM traffic but still pay their decode cost.
     pub llc_bytes: usize,
     /// Shard count for the fused tile queue: `0` resolves the process
-    /// placement (`SPMV_PLACEMENT` / the `SPMV_THREADS` alias, default
-    /// flat → one shard), `1` pins the plan unsharded, `n > 1` cuts the
-    /// queue into `n` NNZ-balanced sub-queues with per-shard row/`x`
-    /// working sets (see [`ShardedTiles`]).
+    /// placement (`SPMV_PLACEMENT`, default flat → one shard), `1` pins
+    /// the plan unsharded, `n > 1` cuts the queue into `n` NNZ-balanced
+    /// sub-queues with per-shard row/`x` working sets (see
+    /// [`ShardedTiles`]).
     pub shards: usize,
     /// Probe the structure fast paths ([`BinFormat::Banded`],
     /// [`BinFormat::DenseRun`], [`BinFormat::RowRunReuse`]) at all
@@ -577,8 +571,6 @@ impl Default for PlanConfig {
         Self {
             pack: true,
             chunk: 0,
-            max_padding: 1.25,
-            max_row_nnz: 512,
             fused: true,
             tile_nnz: 0,
             index: IndexPolicy::Auto,
@@ -604,8 +596,9 @@ impl Default for PlanConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanConfigKey {
     flags: [bool; 4],
-    sizes: [usize; 9],
-    floats: [u64; 2],
+    sizes: [usize; 8],
+    /// `scatter_lines_per_row` by bit pattern.
+    scatter_lines_per_row: u64,
     /// `IndexPolicy` discriminant: 0 = `Auto`, else 1 + byte width.
     index: u8,
 }
@@ -617,7 +610,6 @@ impl PlanConfig {
             flags: [self.pack, self.fused, self.cache_block, self.specialize],
             sizes: [
                 self.chunk,
-                self.max_row_nnz,
                 self.tile_nnz,
                 self.l2_bytes,
                 self.llc_bytes,
@@ -626,10 +618,7 @@ impl PlanConfig {
                 self.min_dense_run,
                 self.min_row_run,
             ],
-            floats: [
-                self.max_padding.to_bits(),
-                self.scatter_lines_per_row.to_bits(),
-            ],
+            scatter_lines_per_row: self.scatter_lines_per_row.to_bits(),
             index: match self.index {
                 IndexPolicy::Auto => 0,
                 IndexPolicy::Fixed(k) => 1 + k.bytes() as u8,
@@ -1148,6 +1137,14 @@ fn traffic_of<T: Scalar>(
     t
 }
 
+/// Maximum `slots / nnz` storage blow-up a packed bin may have; above
+/// it the bin falls back to CSR (the padding-overflow gate).
+const MAX_PADDING: f64 = 1.25;
+
+/// Bins containing a row longer than this stay CSR — long rows neither
+/// suffer per-row overhead nor pack well.
+const MAX_ROW_NNZ: usize = 512;
+
 /// Decide a bin's storage format and materialise its payload.
 ///
 /// **Gate precedence** (first match wins — the order is part of the
@@ -1164,7 +1161,7 @@ fn traffic_of<T: Scalar>(
 /// 3. The SELL gate: packing must be enabled, the bin must have enough
 ///    rows to fill lanes, no row may exceed the dense-row bound, the
 ///    `u32` source map must suffice, and the realised padding must stay
-///    under [`PlanConfig::max_padding`] — otherwise the bin falls back to
+///    under [`MAX_PADDING`] — otherwise the bin falls back to
 ///    CSR. Packed bins pass through the bottleneck classifier's width
 ///    axis ([`IndexPolicy`]): compressed index lanes only when the
 ///    operand set outgrows [`PlanConfig::llc_bytes`], full `u32` words
@@ -1184,7 +1181,7 @@ fn traffic_of<T: Scalar>(
 ///
 /// The structure probes (1, 2, 4) run only with
 /// [`PlanConfig::specialize`] on; they deliberately sit *outside* the
-/// `pack`/`max_row_nnz` gates — a long-row banded bin is still banded —
+/// `pack`/[`MAX_ROW_NNZ`] gates — a long-row banded bin is still banded —
 /// but share the ≥ 4 row floor and `u32` source-map bound.
 fn choose_format<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -1213,14 +1210,14 @@ fn choose_format<T: Scalar>(
         .map(|&r| a.row_nnz(r as usize))
         .max()
         .unwrap_or(0);
-    if max_nnz > config.max_row_nnz {
+    if max_nnz > MAX_ROW_NNZ {
         return csr_fallback(a, rows, config);
     }
     let chunk = match config.chunk {
         0 => {
             let mut lens: Vec<usize> = rows.iter().map(|&r| a.row_nnz(r as usize)).collect();
             lens.sort_unstable_by(|x, y| y.cmp(x));
-            match pick_auto_chunk(&lens, config.max_padding) {
+            match pick_auto_chunk(&lens) {
                 Some(c) => c,
                 None => return csr_fallback(a, rows, config),
             }
@@ -1244,7 +1241,7 @@ fn choose_format<T: Scalar>(
     };
     let mut chunk = chunk;
     let mut packed = PackedSell::from_rows_with_index(a, rows, chunk, floor);
-    if packed.padding_ratio() > config.max_padding {
+    if packed.padding_ratio() > MAX_PADDING {
         return csr_fallback(a, rows, config);
     }
     // Block-structured bins: if runs of identical rows dominate, repack
@@ -1256,7 +1253,7 @@ fn choose_format<T: Scalar>(
     if floor < IndexKind::U32 {
         if let Some(c2) = packed.identical_run_chunk(a) {
             let alt = PackedSell::from_rows_with_index(a, rows, c2, floor);
-            if alt.padding_ratio() <= config.max_padding
+            if alt.padding_ratio() <= MAX_PADDING
                 && alt.index_stream_bytes() < packed.index_stream_bytes()
             {
                 chunk = c2;
@@ -1326,11 +1323,11 @@ fn csr_fallback<T: Scalar>(
 /// lengths (exactly [`PackedSell`]'s slot count — widest lane of each
 /// group of `C` times its lane count — with no slab materialised). The
 /// widest candidate that packs tightly wins; when none does, the
-/// least-padded candidate still under `max_padding`. High-variance bins
+/// least-padded candidate still under [`MAX_PADDING`]. High-variance bins
 /// thus slide to narrower chunks — trading SIMD width for dead slots —
 /// instead of losing to CSR outright. Returns `None` when every
 /// candidate blows the padding gate.
-fn pick_auto_chunk(lens_desc: &[usize], max_padding: f64) -> Option<usize> {
+fn pick_auto_chunk(lens_desc: &[usize]) -> Option<usize> {
     /// Padding this tight is treated as free: take the widest such chunk.
     const TIGHT: f64 = 1.05;
     let candidates: &[usize] = if lens_desc.len() < 8 {
@@ -1362,7 +1359,7 @@ fn pick_auto_chunk(lens_desc: &[usize], max_padding: f64) -> Option<usize> {
             best = Some((c, p));
         }
     }
-    best.and_then(|(c, p)| (p <= max_padding).then_some(c))
+    best.and_then(|(c, p)| (p <= MAX_PADDING).then_some(c))
 }
 
 /// Precompute the fused dispatch queue: cut every bin's work into tiles
@@ -1665,11 +1662,14 @@ mod tests {
     fn cache_key_freezes_every_knob_including_floats() {
         let base = PlanConfig::default();
         assert_eq!(base.cache_key(), PlanConfig::default().cache_key());
-        let padded = PlanConfig {
-            max_padding: 1.25 + f64::EPSILON,
+        // One ulp above the default: `4.0 + f64::EPSILON` rounds back
+        // to 4.0, so the neighbour is built from the bit pattern.
+        let nudged = PlanConfig {
+            scatter_lines_per_row: f64::from_bits(4.0f64.to_bits() + 1),
             ..base
         };
-        assert_ne!(base.cache_key(), padded.cache_key());
+        assert_ne!(base.scatter_lines_per_row, nudged.scatter_lines_per_row);
+        assert_ne!(base.cache_key(), nudged.cache_key());
         let fixed = PlanConfig {
             index: IndexPolicy::Fixed(IndexKind::U16),
             ..base

@@ -182,6 +182,43 @@ fn padding_overflow_falls_back_to_csr() {
     assert!(u[2..].iter().all(|&x| x == 0.0), "empty rows not zeroed");
 }
 
+/// The long-row gate: a bin whose rows all hold 512 non-zeros packs
+/// (zero padding), while one more non-zero per row keeps it CSR — long
+/// rows amortize their own loop overhead. Both sides bit-for-bit.
+#[test]
+fn long_row_gate_packs_512_and_keeps_513_csr() {
+    for (row_nnz, packs) in [(512, true), (513, false)] {
+        let a = gen::random_uniform::<f64>(64, 2048, row_nnz, row_nnz, 9);
+        let plan = native_plan(
+            &a,
+            Strategy {
+                binning: BinningScheme::Single,
+                kernels: vec![KernelId::Vector],
+            },
+            PlanConfig {
+                // Pin the packing gate; the structure probes run outside it.
+                specialize: false,
+                ..PlanConfig::default()
+            },
+        );
+        assert_eq!(plan.dispatch().len(), 1, "Single binning should be one bin");
+        let format = plan.dispatch()[0].format;
+        if packs {
+            assert!(
+                matches!(format, BinFormat::PackedSell { .. }),
+                "{row_nnz}-nnz rows should pack, got {format}"
+            );
+        } else {
+            assert_eq!(format, BinFormat::Csr, "{row_nnz}-nnz rows must stay CSR");
+        }
+        let v: Vec<f64> = (0..a.n_cols()).map(|i| (i % 7) as f64 - 3.0).collect();
+        let reference = a.spmv_seq_alloc(&v).unwrap();
+        let mut u = vec![f64::NAN; a.n_rows()];
+        plan.execute(&a, &v, &mut u).unwrap();
+        assert_eq!(u, reference, "{row_nnz}-nnz rows: output differs");
+    }
+}
+
 /// Adversarial shapes, all strategies: empty rows everywhere, a dense
 /// spike, and everything crammed into the overflow bin.
 #[test]

@@ -48,6 +48,4 @@ pub use scope::{
 };
 pub use shard::sharded_for_each_scratch;
 pub use step::stepped_for_each;
-pub use topology::{
-    parse_placement, parse_threads_alias, Placement, PlacementError, PlacementPolicy, Topology,
-};
+pub use topology::{parse_placement, Placement, PlacementError, PlacementPolicy, Topology};

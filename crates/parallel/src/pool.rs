@@ -163,9 +163,8 @@ impl ThreadPool {
     }
 
     /// Pool sized to the resolved process placement
-    /// ([`crate::scope::num_threads`]): `SPMV_PLACEMENT` / the
-    /// `SPMV_THREADS` alias if set, else one worker per available core
-    /// (or `SPMV_NUM_THREADS`).
+    /// ([`crate::scope::num_threads`]): `SPMV_PLACEMENT` if set, else
+    /// one worker per available core (or `SPMV_NUM_THREADS`).
     pub fn with_default_size() -> Self {
         Self::new(crate::scope::num_threads())
     }

@@ -48,9 +48,9 @@ pub fn machine_threads() -> usize {
 /// process placement's worker count
 /// ([`crate::topology::Placement::from_env`]), so every layer — the flat
 /// loops here, the sharded runtime, the thread pool, servers, benches —
-/// observes **one** topology per process. `SPMV_PLACEMENT` (or the
-/// `SPMV_THREADS` alias) caps this; with neither set it is the hardware
-/// budget (`SPMV_NUM_THREADS` or the machine's available parallelism).
+/// observes **one** topology per process. `SPMV_PLACEMENT` caps this;
+/// unset, it is the hardware budget (`SPMV_NUM_THREADS` or the
+/// machine's available parallelism).
 ///
 /// The placement is computed once per process and cached — kernel
 /// launches call this on their hot path (per bin, per execute), and

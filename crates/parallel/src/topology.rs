@@ -1,7 +1,7 @@
 //! Topology detection and worker placement policies.
 //!
 //! The execution layer used to know exactly one number: the process-wide
-//! thread count (`SPMV_THREADS` capping [`crate::scope::num_threads`]).
+//! thread count capping [`crate::scope::num_threads`].
 //! That is enough for a flat pool but says nothing about *where* work
 //! should live — on a multi-socket or core-clustered part, threads that
 //! share a cache level should share a work queue, and threads that do
@@ -9,14 +9,17 @@
 //!
 //! * [`Topology`] — what the machine offers (worker count, group count);
 //! * [`PlacementPolicy`] — what the user asked for (`flat`, `grouped:G`,
-//!   `pinned:N`), generalizing the old `SPMV_THREADS` cap;
+//!   `pinned:N`), generalizing the old thread-count cap;
 //! * [`Placement`] — the resolved decision: how many workers run and how
 //!   many shards (per-group work queues) plans should be cut into.
 //!
-//! `SPMV_THREADS=N` keeps working as a back-compat alias for
-//! `SPMV_PLACEMENT=pinned:N`. Malformed values of either variable are a
-//! loud warning (once per process) and fall back to [`PlacementPolicy::
-//! Flat`] — previously a typo was indistinguishable from unset.
+//! `SPMV_PLACEMENT` is the one placement variable. A malformed value is
+//! a loud warning (once per process) and falls back to
+//! [`PlacementPolicy::Flat`], so a typo is never silently identical to
+//! unset. The retired `SPMV_THREADS` alias is no longer read; setting it
+//! warns once and names `SPMV_PLACEMENT=pinned:N`, so no worker count
+//! changes silently. `SPMV_NUM_THREADS` is not a placement: it sets the
+//! hardware budget ([`Topology::cores`]) placements resolve against.
 
 use crate::scope::hardware_threads;
 use std::sync::OnceLock;
@@ -57,7 +60,7 @@ impl Topology {
 }
 
 /// How workers and work queues should be laid out, generalizing the old
-/// `SPMV_THREADS` worker cap.
+/// thread-count cap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// All workers share one flat queue — the pre-sharding behaviour and
@@ -67,18 +70,15 @@ pub enum PlacementPolicy {
     /// and each worker drains its group's shard before crossing groups.
     Grouped(usize),
     /// Exactly `N` workers, each the home of its own shard — maximal
-    /// queue locality. `SPMV_THREADS=N` resolves to this.
+    /// queue locality.
     PinnedCount(usize),
 }
 
-/// A malformed placement request: which variable carried it and what the
-/// unparsable value was. Surfaced as a one-shot warning by
+/// A malformed `SPMV_PLACEMENT` value: what did not parse. Surfaced as a one-shot warning by
 /// [`Placement::from_env`] so a typo is never silently identical to
 /// unset.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlacementError {
-    /// The environment variable the bad value came from.
-    pub var: &'static str,
     /// The value that did not parse.
     pub value: String,
 }
@@ -87,10 +87,9 @@ impl std::fmt::Display for PlacementError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}={:?} is not a valid placement (expected \"flat\", \
-             \"grouped:G\", \"pinned:N\", or a positive thread count); \
-             falling back to flat",
-            self.var, self.value
+            "SPMV_PLACEMENT={:?} is not a valid placement (expected \"flat\", \
+             \"grouped:G\" or \"pinned:N\"); falling back to flat",
+            self.value
         )
     }
 }
@@ -102,7 +101,6 @@ impl std::error::Error for PlacementError {}
 /// without touching the process environment.
 pub fn parse_placement(raw: &str) -> Result<PlacementPolicy, PlacementError> {
     let err = || PlacementError {
-        var: "SPMV_PLACEMENT",
         value: raw.to_string(),
     };
     let s = raw.trim();
@@ -119,21 +117,6 @@ pub fn parse_placement(raw: &str) -> Result<PlacementPolicy, PlacementError> {
         };
     }
     Err(err())
-}
-
-/// Parse an `SPMV_THREADS` value as the back-compat alias for
-/// `pinned:N`. Anything that is not a positive integer is an error —
-/// including `"0"`, which used to silently mean "no cap".
-pub fn parse_threads_alias(raw: &str) -> Result<PlacementPolicy, PlacementError> {
-    raw.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .map(PlacementPolicy::PinnedCount)
-        .ok_or_else(|| PlacementError {
-            var: "SPMV_THREADS",
-            value: raw.to_string(),
-        })
 }
 
 /// A resolved placement: the policy that produced it, the worker count
@@ -173,11 +156,12 @@ impl Placement {
         }
     }
 
-    /// The process placement: `SPMV_PLACEMENT` if set, else the
-    /// `SPMV_THREADS` alias, else [`PlacementPolicy::Flat`] — resolved
-    /// against the detected [`Topology`]. Malformed values warn on
-    /// stderr **once per process** (see [`PlacementError`]) and fall
-    /// back to `Flat`; unset variables stay silent.
+    /// The process placement: `SPMV_PLACEMENT` if set, else
+    /// [`PlacementPolicy::Flat`] — resolved against the detected
+    /// [`Topology`]. A malformed value warns on stderr **once per
+    /// process** (see [`PlacementError`]) and falls back to `Flat`; a
+    /// set `SPMV_THREADS`, no longer read, also warns once. Unset
+    /// variables stay silent.
     ///
     /// This is the **single entry point** for topology resolution:
     /// [`crate::scope::num_threads`] (and through it every flat parallel
@@ -191,6 +175,12 @@ impl Placement {
     pub fn from_env() -> Self {
         static CACHED: OnceLock<Placement> = OnceLock::new();
         *CACHED.get_or_init(|| {
+            if std::env::var_os("SPMV_THREADS").is_some() {
+                eprintln!(
+                    "warning: SPMV_THREADS is no longer read; \
+                     use SPMV_PLACEMENT=pinned:N to fix the worker count"
+                );
+            }
             let policy = match env_policy() {
                 Ok(p) => p,
                 Err(e) => {
@@ -204,19 +194,12 @@ impl Placement {
 }
 
 /// The raw environment lookup behind [`Placement::from_env`]:
-/// `SPMV_PLACEMENT` wins, `SPMV_THREADS` is the alias, unset is `Flat`.
+/// `SPMV_PLACEMENT`, unset (or blank) is `Flat`.
 fn env_policy() -> Result<PlacementPolicy, PlacementError> {
-    if let Ok(raw) = std::env::var("SPMV_PLACEMENT") {
-        if !raw.trim().is_empty() {
-            return parse_placement(&raw);
-        }
+    match std::env::var("SPMV_PLACEMENT") {
+        Ok(raw) if !raw.trim().is_empty() => parse_placement(&raw),
+        _ => Ok(PlacementPolicy::Flat),
     }
-    if let Ok(raw) = std::env::var("SPMV_THREADS") {
-        if !raw.trim().is_empty() {
-            return parse_threads_alias(&raw);
-        }
-    }
-    Ok(PlacementPolicy::Flat)
 }
 
 #[cfg(test)]
@@ -245,25 +228,9 @@ mod tests {
     fn placement_grammar_rejects_garbage_with_the_offending_value() {
         for bad in ["", "fast", "grouped", "grouped:0", "grouped:x", "pinned:-1"] {
             let e = parse_placement(bad).unwrap_err();
-            assert_eq!(e.var, "SPMV_PLACEMENT");
             assert_eq!(e.value, bad);
+            assert!(e.to_string().starts_with("SPMV_PLACEMENT="));
             assert!(e.to_string().contains("falling back to flat"));
-        }
-    }
-
-    #[test]
-    fn threads_alias_is_pinned_count_and_rejects_zero() {
-        assert_eq!(
-            parse_threads_alias("3"),
-            Ok(PlacementPolicy::PinnedCount(3))
-        );
-        assert_eq!(
-            parse_threads_alias(" 5 "),
-            Ok(PlacementPolicy::PinnedCount(5))
-        );
-        for bad in ["0", "", "two", "-3", "1.5"] {
-            let e = parse_threads_alias(bad).unwrap_err();
-            assert_eq!(e.var, "SPMV_THREADS");
         }
     }
 

@@ -30,27 +30,20 @@
 //! plan by [`RefineConfig::hysteresis_ns`] on an injected monotonic
 //! clock ([`spmv_parallel::Clock`]), so a plan that keeps measuring
 //! slow is retried at a bounded rate and tests can drive the schedule
-//! with a [`FakeClock`](spmv_parallel::FakeClock).
-//!
-//! Every completed A/B also feeds the incremental learner
-//! ([`spmv_ml::IncrementalLearner`]): the pair `(Table I features,
-//! measured winner)` accumulates, and periodic
-//! [`retrain_incremental`](spmv_ml::IncrementalLearner::retrain_incremental)
-//! refits the offline rule-set family over measured evidence — gated
-//! by the rule-set linter, so a degenerate refit can never replace a
-//! serving model.
+//! with a [`FakeClock`](spmv_parallel::FakeClock). The schedule tracks
+//! only plans the latest scan found Ready, so an evicted plan's entry
+//! goes with it.
 //!
 //! The mode knob is the `SPMV_REFINE` environment variable:
 //! `off` (default) does nothing, `observe` classifies and counts but
 //! never builds, `auto` runs the full loop.
 
-use crate::cache::CacheError;
 use spmv_autotune::{
     classify, suggest, AdaptConfig, Bottleneck, NativeCpuBackend, PlanConfig, SpmvPlan,
     VerifiedPlan,
 };
 use spmv_sparse::{CsrMatrix, Scalar};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,7 +73,7 @@ impl RefineMode {
 }
 
 /// Refinement knobs. `Default` is fully off; [`RefineConfig::from_env`]
-/// reads the `SPMV_REFINE*` variables.
+/// reads the mode from `SPMV_REFINE`.
 #[derive(Clone, Copy, Debug)]
 pub struct RefineConfig {
     /// What the pass may do (see [`RefineMode`]).
@@ -100,9 +93,6 @@ pub struct RefineConfig {
     pub hysteresis_ns: u64,
     /// Background worker pass period.
     pub scan_interval: Duration,
-    /// Run one incremental retrain after this many new measured
-    /// `(features, winner)` observations.
-    pub retrain_every: usize,
 }
 
 impl Default for RefineConfig {
@@ -114,31 +104,17 @@ impl Default for RefineConfig {
             min_speedup: 1.05,
             hysteresis_ns: 1_000_000_000,
             scan_interval: Duration::from_millis(20),
-            retrain_every: 8,
         }
     }
 }
 
 impl RefineConfig {
-    /// Defaults overridden by environment: `SPMV_REFINE` (mode),
-    /// `SPMV_REFINE_DIVERGENCE` (observed/predicted ratio, f64),
-    /// `SPMV_REFINE_HYSTERESIS_MS` (attempt spacing, integer ms).
+    /// Defaults with the mode read from `SPMV_REFINE`.
     pub fn from_env() -> Self {
-        let mut cfg = Self {
+        Self {
             mode: RefineMode::from_env(),
             ..Self::default()
-        };
-        if let Ok(v) = std::env::var("SPMV_REFINE_DIVERGENCE") {
-            if let Ok(x) = v.parse::<f64>() {
-                cfg.adapt.divergence_ratio = x;
-            }
         }
-        if let Ok(v) = std::env::var("SPMV_REFINE_HYSTERESIS_MS") {
-            if let Ok(ms) = v.parse::<u64>() {
-                cfg.hysteresis_ns = ms.saturating_mul(1_000_000);
-            }
-        }
-        cfg
     }
 }
 
@@ -174,9 +150,15 @@ impl<K: std::hash::Hash + Eq + Clone> RefineScheduler<K> {
         self.last_attempt.insert(key.clone(), now_ns);
     }
 
-    /// Forget a key (its slot was evicted).
-    pub fn forget(&mut self, key: &K) {
-        self.last_attempt.remove(key);
+    /// Keep only the keys in `live` (the latest scan's Ready set), so
+    /// the map never outgrows the cache it schedules. A dropped key is
+    /// fresh again if it comes back.
+    pub fn retain_live<'a>(&mut self, live: impl IntoIterator<Item = &'a K>)
+    where
+        K: 'a,
+    {
+        let live: HashSet<&K> = live.into_iter().collect();
+        self.last_attempt.retain(|key, _| live.contains(key));
     }
 }
 
@@ -300,38 +282,6 @@ pub fn probe_candidate<T: Scalar>(
     })
 }
 
-/// The learner schema the refinement loop feeds: the frozen Table I
-/// attribute vector against the two-class "which side measured faster"
-/// outcome. Keeping the schema here (not in the worker) lets benches
-/// and tests build a compatible [`spmv_ml::IncrementalLearner`].
-pub fn learner_schema() -> (Vec<spmv_ml::AttrSpec>, Vec<String>) {
-    let attrs = spmv_sparse::MatrixFeatures::attr_names(spmv_sparse::FeatureSet::TableI)
-        .into_iter()
-        .map(spmv_ml::AttrSpec::numeric)
-        .collect();
-    (attrs, vec!["incumbent".into(), "refined".into()])
-}
-
-/// Class index for [`learner_schema`]: the incumbent measured best.
-pub const CLASS_INCUMBENT: usize = 0;
-/// Class index for [`learner_schema`]: the refined candidate won.
-pub const CLASS_REFINED: usize = 1;
-
-/// Project a plan's features onto the frozen Table I row that matches
-/// [`learner_schema`] regardless of which feature set the plan was
-/// compiled with (extended features would widen `to_vec()`).
-pub fn feature_row(f: &spmv_sparse::MatrixFeatures) -> Vec<f64> {
-    vec![
-        f.m as f64,
-        f.n as f64,
-        f.nnz as f64,
-        f.var_nnz,
-        f.avg_nnz,
-        f.min_nnz as f64,
-        f.max_nnz as f64,
-    ]
-}
-
 /// Monotone counters for the background pass (lives in the server's
 /// shared state; the worker thread increments, `stats()` snapshots).
 #[derive(Debug, Default)]
@@ -352,12 +302,6 @@ pub struct RefineCounters {
     pub kept: AtomicU64,
     /// Candidate builds or probes that failed.
     pub failures: AtomicU64,
-    /// Measured `(features, winner)` pairs fed to the learner.
-    pub learner_observations: AtomicU64,
-    /// Incremental retrains accepted by the lint gate.
-    pub learner_retrains: AtomicU64,
-    /// Incremental retrains rejected by the lint gate.
-    pub learner_rejections: AtomicU64,
 }
 
 /// Snapshot of [`RefineCounters`] (see the field docs there).
@@ -379,12 +323,6 @@ pub struct RefineStats {
     pub kept: u64,
     /// Candidate builds or probes that failed.
     pub failures: u64,
-    /// Measured `(features, winner)` pairs fed to the learner.
-    pub learner_observations: u64,
-    /// Incremental retrains accepted by the lint gate.
-    pub learner_retrains: u64,
-    /// Incremental retrains rejected by the lint gate.
-    pub learner_rejections: u64,
 }
 
 impl RefineCounters {
@@ -399,17 +337,8 @@ impl RefineCounters {
             swapped: self.swapped.load(Ordering::Relaxed),
             kept: self.kept.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
-            learner_observations: self.learner_observations.load(Ordering::Relaxed),
-            learner_retrains: self.learner_retrains.load(Ordering::Relaxed),
-            learner_rejections: self.learner_rejections.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Map a compile/verify failure into the cache's error type (the
-/// refiner builds through the same `Result` plumbing as the server).
-pub fn build_error(e: impl std::fmt::Display) -> CacheError {
-    CacheError::Build(e.to_string())
 }
 
 #[cfg(test)]
@@ -463,8 +392,33 @@ mod tests {
         sched.record(&key, clock.now_ns());
         clock.advance_ns(10);
         assert!(!sched.ready(&key, clock.now_ns(), h));
-        sched.forget(&key);
-        assert!(sched.ready(&key, clock.now_ns(), h), "forgotten = fresh");
+        sched.retain_live(&[]);
+        assert!(sched.ready(&key, clock.now_ns(), h), "pruned = fresh");
+    }
+
+    #[test]
+    fn scheduler_prunes_to_the_latest_ready_set() {
+        let mut sched = RefineScheduler::new();
+        let h = 1_000;
+        for key in 0u32..10 {
+            sched.record(&key, 0);
+        }
+        sched.retain_live(&[2, 5]);
+        assert_eq!(sched.last_attempt.len(), 2);
+        assert!(!sched.ready(&2, 1, h), "a live key keeps its window");
+        assert!(!sched.ready(&5, 1, h));
+        assert!(sched.ready(&3, 1, h), "a pruned key is fresh again");
+
+        // Scans whose Ready sets shrink and shift (plans evicted and new
+        // ones cached): the map never holds more than the last set.
+        for (now, live) in [(2u64, vec![5, 11, 12]), (3, vec![12]), (4, vec![])] {
+            sched.retain_live(&live);
+            assert!(sched.last_attempt.len() <= live.len());
+            for key in &live {
+                sched.record(key, now);
+            }
+            assert_eq!(sched.last_attempt.len(), live.len());
+        }
     }
 
     #[test]

@@ -62,11 +62,10 @@
 
 use crate::cache::{CacheConfig, CacheError, CacheStats, PlanCache, PlanIdentity, PlanKey};
 use crate::refine::{
-    classify_plan, feature_row, learner_schema, probe_candidate, RefineConfig, RefineCounters,
-    RefineMode, RefineScheduler, RefineStats, CLASS_INCUMBENT, CLASS_REFINED,
+    classify_plan, probe_candidate, RefineConfig, RefineCounters, RefineMode, RefineScheduler,
+    RefineStats,
 };
 use spmv_autotune::{NativeCpuBackend, PlanConfig, SpmvPlan, Strategy};
-use spmv_ml::{IncrementalLearner, OnlineConfig, RetrainOutcome};
 use spmv_parallel::{Clock, MonotonicClock};
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar};
 use std::collections::{HashMap, VecDeque};
@@ -142,9 +141,9 @@ pub struct ServeConfig {
     /// Configuration every served plan is compiled with (part of the
     /// cache key).
     pub plan: PlanConfig,
-    /// Online refinement knobs; defaults come from the environment
-    /// (`SPMV_REFINE` and friends, off when unset), so a deployment
-    /// can turn the loop on without touching code.
+    /// Online refinement knobs; the mode comes from the environment
+    /// (`SPMV_REFINE`, off when unset), so a deployment can turn the
+    /// loop on without touching code.
     pub refine: RefineConfig,
 }
 
@@ -771,17 +770,10 @@ fn serve_batch<T: Scalar>(
 /// [`RefineConfig::scan_interval`] with hysteresis per plan, entirely
 /// off the request path: the only shared state it writes is the cache
 /// slot (via [`PlanCache::swap`]) and its own counters.
-///
-/// Every completed A/B also feeds the incremental learner; after
-/// [`RefineConfig::retrain_every`] observations it refits the rule-set
-/// behind the lint gate (see [`crate::refine`] module docs).
 fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
     let cfg = inner.config.refine;
     let clock = MonotonicClock;
     let mut sched: RefineScheduler<PlanKey> = RefineScheduler::new();
-    let (attrs, classes) = learner_schema();
-    let mut learner = IncrementalLearner::new(attrs, classes, OnlineConfig::default());
-    let mut since_retrain = 0usize;
     loop {
         {
             let stop = inner.refine_stop.lock().unwrap();
@@ -804,6 +796,7 @@ fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
         inner
             .cache
             .for_each_ready(|key, confirm, plan| ready.push((*key, confirm, Arc::clone(plan))));
+        sched.retain_live(ready.iter().map(|(key, ..)| key));
 
         for (key, confirm, plan) in ready {
             let (_bottleneck, Some(suggestion)) = classify_plan(&plan, &cfg.adapt) else {
@@ -840,35 +833,6 @@ fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
             match probe_candidate(&r.matrix, &plan, suggestion, inner.config.workers, &cfg) {
                 Ok(report) => {
                     inner.refine.built.fetch_add(1, Ordering::Relaxed);
-                    let label = if report.improved {
-                        CLASS_REFINED
-                    } else {
-                        CLASS_INCUMBENT
-                    };
-                    learner.observe(&feature_row(plan.plan().features()), label);
-                    inner
-                        .refine
-                        .learner_observations
-                        .fetch_add(1, Ordering::Relaxed);
-                    since_retrain += 1;
-                    if since_retrain >= cfg.retrain_every.max(1) {
-                        since_retrain = 0;
-                        match learner.retrain_incremental() {
-                            RetrainOutcome::Accepted { .. } => {
-                                inner
-                                    .refine
-                                    .learner_retrains
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            RetrainOutcome::RejectedByLinter { .. } => {
-                                inner
-                                    .refine
-                                    .learner_rejections
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            RetrainOutcome::TooFewExamples { .. } => {}
-                        }
-                    }
                     let published = report.improved
                         && inner
                             .cache
