@@ -15,8 +15,9 @@
 //!    bit-for-bit identical, per output column, to single-vector
 //!    executes at RHS widths covering lone-column, remainder, and full
 //!    register-block decompositions.
-//! 5. **Concurrency protocols** — the scope/pool/level-barrier,
-//!    serving admission-queue, and refinement publish state machines
+//! 5. **Concurrency protocols** — the worker-team wake/complete,
+//!    cursor-claim, shard-claim and level-barrier, serving
+//!    admission-queue, and refinement publish state machines
 //!    pass exhaustive interleaving (the admission model proves the
 //!    coalescing-window protocol loses no request; the refine model
 //!    proves a candidate plan is always verified before it is published
@@ -53,7 +54,7 @@ use spmv_ml::lint::Severity;
 use spmv_sparse::corpus::CorpusConfig;
 use spmv_verify::interleave::{explore, Verdict};
 use spmv_verify::models::{
-    AdmissionModel, BatchModel, CursorModel, LevelModel, RefineModel, ShardModel, TwoLockModel,
+    AdmissionModel, CursorModel, LevelModel, RefineModel, ShardModel, TeamModel, TwoLockModel,
 };
 use spmv_verify::{driver, hygiene};
 use std::path::{Path, PathBuf};
@@ -226,8 +227,8 @@ fn check_concurrency() -> usize {
     // The shipped protocols must pass…
     let sound: [(&str, Verdict); 7] = [
         (
-            "pool run_batch (3 workers)",
-            explore(BatchModel::correct(3), BUDGET),
+            "worker-team wake and complete (3 workers, 2 regions)",
+            explore(TeamModel::correct(3, 2), BUDGET),
         ),
         (
             "scope cursor claim (2 threads, 3 items)",
@@ -265,10 +266,15 @@ fn check_concurrency() -> usize {
 
     // …and the injected bugs must be *caught* (checker self-test).
     type Expect = fn(&Verdict) -> bool;
-    let buggy: [(&str, Verdict, Expect); 7] = [
+    let buggy: [(&str, Verdict, Expect); 8] = [
         (
-            "notify-without-lock is detected as lost wakeup",
-            explore(BatchModel::notify_without_lock(2), BUDGET),
+            "team wake without the region lock is detected as a lost wakeup",
+            explore(TeamModel::wake_without_lock(2, 2), BUDGET),
+            |v| matches!(v, Verdict::Deadlock { .. }),
+        ),
+        (
+            "team completion without the done lock is detected as a lost wakeup",
+            explore(TeamModel::complete_without_lock(2, 2), BUDGET),
             |v| matches!(v, Verdict::Deadlock { .. }),
         ),
         (

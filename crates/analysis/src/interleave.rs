@@ -20,8 +20,9 @@
 //!   `done`, the protocol passes for this model size.
 //!
 //! Exhaustiveness is over the model, not the silicon: the models in
-//! [`crate::models`] encode the scope/pool protocols at small N
-//! (2–3 threads), which is where these protocol bugs already show up.
+//! [`crate::models`] encode the team, cursor and barrier protocols at
+//! small N (2–3 threads), which is where these protocol bugs already
+//! show up.
 
 use std::collections::HashSet;
 use std::hash::Hash;

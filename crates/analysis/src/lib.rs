@@ -20,7 +20,8 @@
 //!    fail before they can mispredict. Re-exported here for the driver.
 //! 3. **Concurrency model checking** — [`interleave`] is a loom-style
 //!    (std-only) exhaustive-interleaving explorer; [`models`] encodes
-//!    the `spmv-parallel` scope/pool protocols as small-N state machines
+//!    the `spmv-parallel` team/cursor/shard/barrier protocols (and the
+//!    server's admission and publish protocols) as small-N state machines
 //!    and detects lost wakeups, double writes, and deadlocks.
 //!
 //! A fourth, source-level check — [`hygiene`] — enforces the unsafe

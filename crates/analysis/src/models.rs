@@ -5,13 +5,16 @@
 //! protocol defect, so the adversarial tests can prove the checker
 //! actually detects what it claims to:
 //!
-//! * [`BatchModel`] — the `ThreadPool::run_batch` completion protocol
-//!   (`BatchState` in `crates/parallel/src/pool.rs`): workers decrement
-//!   an atomic `pending` and the last one signals a condition variable
-//!   the caller waits on. The buggy variant notifies *without* taking
-//!   the lock first — the notify can then land in the waiter's
-//!   check-to-sleep window and be lost, leaving the waiter asleep
-//!   forever (detected as a deadlock).
+//! * [`TeamModel`] — the persistent worker team's region protocol
+//!   (`Team` in `crates/parallel/src/team.rs`), over back-to-back
+//!   regions: the caller publishes a new generation and notifies the
+//!   parked workers under the region lock, and the last worker to finish
+//!   notifies the caller under the done lock. Two buggy variants: the
+//!   caller bumps the generation and notifies without the region lock
+//!   (the bump lands between a worker's locked check and its sleep), or
+//!   the last worker notifies without the done lock (the notify lands
+//!   between the caller's check and its sleep). Either leaves a thread
+//!   asleep forever (detected as a deadlock).
 //! * [`CursorModel`] — the dynamic-chunk claim in `parallel_for`
 //!   (`crates/parallel/src/scope.rs`): workers claim chunks with one
 //!   atomic `fetch_add`. The buggy variant splits the claim into a read
@@ -59,69 +62,111 @@
 
 use crate::interleave::Model;
 
-/// `run_batch` completion protocol: `workers` worker threads each
-/// complete one job (decrementing `pending`), the last one signals; one
-/// waiter blocks until `pending == 0`. Thread ids `0..workers` are
-/// workers, `workers` is the waiter.
+/// The worker-team region protocol (`Team` in
+/// `crates/parallel/src/team.rs`) over `regions` back-to-back regions.
+/// Thread ids `0..workers` are the parked workers, `workers` is the
+/// caller. Per region the caller sets `pending`, bumps the generation and
+/// notifies the workers' condition variable under the region lock, runs
+/// role 0, then waits under the done lock until `pending == 0`. A worker
+/// checks the generation under the region lock and, if it has seen it,
+/// sleeps (an atomic unlock-and-sleep); otherwise it runs its role,
+/// decrements `pending`, and the last one notifies the caller under the
+/// done lock. The bounded spins that precede both sleeps only poll, so
+/// they are not modelled: the decision to sleep is always the locked one.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct BatchModel {
-    /// Jobs not yet completed.
+pub struct TeamModel {
+    /// Published generation (regions opened so far).
+    generation: u8,
+    /// Regions the caller has joined.
+    joined: u8,
+    /// Regions to run.
+    regions: u8,
+    /// Worker roles of the current region not yet finished.
     pending: u8,
-    /// Current mutex holder (thread id), if any.
-    lock: Option<u8>,
-    /// Is the waiter asleep on the condition variable?
-    sleeping: bool,
-    /// Per-worker program counter.
+    /// Region-lock holder (thread id), if any.
+    region_lock: Option<u8>,
+    /// Done-lock holder (thread id), if any.
+    done_lock: Option<u8>,
+    /// Per worker: asleep on the wake condition variable?
+    asleep: Vec<bool>,
+    /// Is the caller asleep on the done condition variable?
+    caller_asleep: bool,
+    /// Per worker: last generation seen.
+    seen: Vec<u8>,
+    /// Per worker: roles run so far.
+    ran: Vec<u8>,
     worker_pc: Vec<u8>,
-    /// Waiter program counter.
-    waiter_pc: u8,
-    /// Re-introduce the notify-without-lock bug.
-    buggy: bool,
+    caller_pc: u8,
+    bug: TeamBug,
 }
 
-impl BatchModel {
-    /// A model with `workers` workers using the correct
-    /// (notify-under-lock) protocol.
-    pub fn correct(workers: u8) -> Self {
-        Self::new(workers, false)
+/// The protocol defect a [`TeamModel`] re-introduces, if any.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum TeamBug {
+    None,
+    /// The caller bumps the generation and notifies without the region
+    /// lock, so the bump can fall between a worker's locked check and
+    /// its sleep.
+    WakeWithoutLock,
+    /// The last worker notifies the caller without the done lock.
+    CompleteWithoutLock,
+}
+
+impl TeamModel {
+    /// The shipped protocol: `workers` workers, `regions` regions.
+    pub fn correct(workers: u8, regions: u8) -> Self {
+        Self::new(workers, regions, TeamBug::None)
     }
 
-    /// A model with `workers` workers whose last completer notifies
-    /// without acquiring the lock — the lost-wakeup bug.
-    pub fn notify_without_lock(workers: u8) -> Self {
-        Self::new(workers, true)
+    /// The caller opens each region without taking the region lock —
+    /// the lost wake-up.
+    pub fn wake_without_lock(workers: u8, regions: u8) -> Self {
+        Self::new(workers, regions, TeamBug::WakeWithoutLock)
     }
 
-    fn new(workers: u8, buggy: bool) -> Self {
+    /// The last worker of a region notifies the caller without taking
+    /// the done lock — the lost completion.
+    pub fn complete_without_lock(workers: u8, regions: u8) -> Self {
+        Self::new(workers, regions, TeamBug::CompleteWithoutLock)
+    }
+
+    fn new(workers: u8, regions: u8, bug: TeamBug) -> Self {
+        let w = workers as usize;
         Self {
-            pending: workers,
-            lock: None,
-            sleeping: false,
-            worker_pc: vec![0; workers as usize],
-            waiter_pc: 0,
-            buggy,
+            generation: 0,
+            joined: 0,
+            regions,
+            pending: 0,
+            region_lock: None,
+            done_lock: None,
+            asleep: vec![false; w],
+            caller_asleep: false,
+            seen: vec![0; w],
+            ran: vec![0; w],
+            worker_pc: vec![0; w],
+            caller_pc: 0,
+            bug,
         }
     }
 
-    fn waiter_id(&self) -> usize {
+    fn caller_id(&self) -> usize {
         self.worker_pc.len()
     }
-
-    /// Wake the waiter if (and only if) it is currently asleep; a notify
-    /// with nobody sleeping is lost, exactly like a real condvar.
-    fn notify(&mut self) {
-        if self.sleeping {
-            self.sleeping = false;
-        }
-    }
 }
 
-// Worker pcs: 0 = fetch_sub pending; 1 = acquire lock (correct) or
-// notify unlocked (buggy); 2 = notify + unlock (correct only); 3 = done.
-// Waiter pcs: 0 = acquire lock; 1 = check pending under lock;
-// 2 = cv-wait (atomic unlock + sleep); 3 = woken, reacquire lock;
-// 4 = done.
-impl Model for BatchModel {
+// Worker pcs: 0 = acquire region lock; 1 = locked generation check
+// (new → unlock and run; seen → stay locked for the wait; all regions
+// seen → exit); 2 = cv-wait (atomic unlock + sleep); 3 = asleep, wake
+// reacquires the region lock; 4 = run role; 5 = pending.fetch_sub;
+// 6 = acquire done lock (or, buggy, notify without it); 7 = notify +
+// unlock; 9 = exited.
+// Caller pcs: 0 = open the next region (set pending) or finish;
+// 1 = acquire region lock (buggy: bump unlocked); 2 = bump + notify +
+// unlock (buggy: notify unlocked); 3 = run role 0; 4 = acquire done
+// lock; 5 = locked pending check (zero → unlock and join; else stay
+// locked for the wait); 7 = cv-wait (atomic unlock + sleep); 6 =
+// asleep, wake reacquires the done lock; 9 = done.
+impl Model for TeamModel {
     fn n_threads(&self) -> usize {
         self.worker_pc.len() + 1
     }
@@ -129,71 +174,120 @@ impl Model for BatchModel {
     fn runnable(&self, t: usize) -> bool {
         if t < self.worker_pc.len() {
             match self.worker_pc[t] {
-                0 => true,
-                1 => self.buggy || self.lock.is_none(),
-                2 => true,
-                _ => false,
+                0 => self.region_lock.is_none(),
+                3 => !self.asleep[t] && self.region_lock.is_none(),
+                6 => self.bug == TeamBug::CompleteWithoutLock || self.done_lock.is_none(),
+                9 => false,
+                _ => true,
             }
         } else {
-            match self.waiter_pc {
-                0 => self.lock.is_none(),
-                1 | 2 => true,
-                // Asleep on the condvar: only a notify makes the waiter
-                // runnable again (then it must reacquire the lock).
-                3 => !self.sleeping && self.lock.is_none(),
-                _ => false,
+            match self.caller_pc {
+                1 => self.bug == TeamBug::WakeWithoutLock || self.region_lock.is_none(),
+                4 => self.done_lock.is_none(),
+                6 => !self.caller_asleep && self.done_lock.is_none(),
+                9 => false,
+                _ => true,
             }
         }
     }
 
     fn step(&mut self, t: usize) {
         if t < self.worker_pc.len() {
+            let me = t as u8;
             match self.worker_pc[t] {
-                0 => {
-                    // pending.fetch_sub(1): last completer goes on to
-                    // signal, everyone else is done.
-                    let was = self.pending;
-                    self.pending -= 1;
-                    self.worker_pc[t] = if was == 1 { 1 } else { 3 };
+                0 | 3 => {
+                    self.region_lock = Some(me);
+                    self.worker_pc[t] = 1;
                 }
                 1 => {
-                    if self.buggy {
-                        // BUG: notify without holding the lock — can
-                        // land between the waiter's check and sleep.
-                        self.notify();
-                        self.worker_pc[t] = 3;
+                    if self.generation != self.seen[t] {
+                        self.seen[t] = self.generation;
+                        self.region_lock = None;
+                        self.worker_pc[t] = 4;
+                    } else if self.seen[t] == self.regions {
+                        self.region_lock = None;
+                        self.worker_pc[t] = 9;
                     } else {
-                        self.lock = Some(t as u8);
                         self.worker_pc[t] = 2;
                     }
                 }
                 2 => {
-                    self.notify();
-                    self.lock = None;
+                    self.region_lock = None;
+                    self.asleep[t] = true;
                     self.worker_pc[t] = 3;
+                }
+                4 => {
+                    self.ran[t] += 1;
+                    self.worker_pc[t] = 5;
+                }
+                5 => {
+                    let was = self.pending;
+                    self.pending -= 1;
+                    self.worker_pc[t] = if was == 1 { 6 } else { 0 };
+                }
+                6 => {
+                    if self.bug == TeamBug::CompleteWithoutLock {
+                        self.caller_asleep = false;
+                        self.worker_pc[t] = 0;
+                    } else {
+                        self.done_lock = Some(me);
+                        self.worker_pc[t] = 7;
+                    }
+                }
+                7 => {
+                    self.caller_asleep = false;
+                    self.done_lock = None;
+                    self.worker_pc[t] = 0;
                 }
                 _ => unreachable!(),
             }
         } else {
-            let w = self.waiter_id() as u8;
-            match self.waiter_pc {
-                0 | 3 => {
-                    self.lock = Some(w);
-                    self.waiter_pc = 1;
-                }
-                1 => {
-                    if self.pending == 0 {
-                        self.lock = None;
-                        self.waiter_pc = 4;
+            let me = self.caller_id() as u8;
+            match self.caller_pc {
+                0 => {
+                    if self.joined == self.regions {
+                        self.caller_pc = 9;
                     } else {
-                        self.waiter_pc = 2;
+                        self.pending = self.worker_pc.len() as u8;
+                        self.caller_pc = 1;
                     }
                 }
+                1 => {
+                    if self.bug == TeamBug::WakeWithoutLock {
+                        self.generation += 1;
+                    } else {
+                        self.region_lock = Some(me);
+                    }
+                    self.caller_pc = 2;
+                }
                 2 => {
-                    // cv.wait(): atomically release the lock and sleep.
-                    self.lock = None;
-                    self.sleeping = true;
-                    self.waiter_pc = 3;
+                    if self.bug != TeamBug::WakeWithoutLock {
+                        self.generation += 1;
+                        self.region_lock = None;
+                    }
+                    // notify_all: wakes only the workers already asleep.
+                    self.asleep.iter_mut().for_each(|a| *a = false);
+                    self.caller_pc = 3;
+                }
+                3 => self.caller_pc = 4,
+                4 | 6 => {
+                    self.done_lock = Some(me);
+                    self.caller_pc = 5;
+                }
+                5 => {
+                    if self.pending == 0 {
+                        self.done_lock = None;
+                        self.joined += 1;
+                        self.caller_pc = 0;
+                    } else {
+                        self.caller_pc = 7;
+                    }
+                }
+                7 => {
+                    // cv.wait(): atomically release the done lock and sleep.
+                    self.done_lock = None;
+                    self.caller_asleep = true;
+                    self.caller_pc = 6;
                 }
                 _ => unreachable!(),
             }
@@ -201,26 +295,20 @@ impl Model for BatchModel {
     }
 
     fn done(&self) -> bool {
-        self.waiter_pc == 4 && self.worker_pc.iter().all(|&pc| pc == 3)
+        self.caller_pc == 9 && self.worker_pc.iter().all(|&pc| pc == 9)
     }
 
     fn violation(&self) -> Option<String> {
-        if self.waiter_pc == 4 && self.pending != 0 {
+        if let Some(w) = self.ran.iter().position(|&r| r < self.joined) {
             return Some(format!(
-                "waiter returned with {} jobs still pending",
-                self.pending
+                "caller joined region {} before worker {w} ran its role",
+                self.joined
             ));
         }
+        if let Some(w) = self.ran.iter().position(|&r| r > self.generation) {
+            return Some(format!("worker {w} ran a role twice in one region"));
+        }
         None
-    }
-}
-
-// A waiter at pc 3 is runnable only once awake: `runnable` requires the
-// lock free AND — enforced here — not sleeping.
-impl BatchModel {
-    /// Is the waiter blocked on the condition variable right now?
-    pub fn waiter_asleep(&self) -> bool {
-        self.sleeping
     }
 }
 
@@ -1005,17 +1093,22 @@ mod tests {
     const BUDGET: usize = 200_000;
 
     #[test]
-    fn batch_protocol_is_sound() {
+    fn team_protocol_is_sound() {
         for workers in 1..=3 {
-            let v = explore(BatchModel::correct(workers), BUDGET);
+            let v = explore(TeamModel::correct(workers, 2), BUDGET);
             assert!(v.passed(), "workers={workers}: {v}");
         }
     }
 
     #[test]
-    fn notify_without_lock_loses_the_wakeup() {
-        let v = explore(BatchModel::notify_without_lock(2), BUDGET);
-        assert!(matches!(v, Verdict::Deadlock { .. }), "got {v}");
+    fn unlocked_team_notifies_lose_the_wakeup() {
+        for model in [
+            TeamModel::wake_without_lock(1, 2),
+            TeamModel::complete_without_lock(1, 1),
+        ] {
+            let v = explore(model, BUDGET);
+            assert!(matches!(v, Verdict::Deadlock { .. }), "got {v}");
+        }
     }
 
     #[test]

@@ -25,10 +25,10 @@ use crate::telemetry::PlanTelemetry;
 use crate::verify::{check_dispatch, check_payloads, check_shards, VerifyError};
 use spmv_parallel::Placement;
 use spmv_sparse::{
-    BandSet, ColumnLocality, CsrMatrix, DenseBlock, DenseRuns, FeatureSet, IndexKind,
+    sell_slots, BandSet, ColumnLocality, CsrMatrix, DenseBlock, DenseRuns, FeatureSet, IndexKind,
     MatrixFeatures, PackedSell, RowRuns, Scalar,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Structural identity of a CSR matrix: dimensions, NNZ, and an FNV-1a
 /// checksum of the row-pointer array. Two matrices with equal
@@ -986,7 +986,12 @@ impl<T: Scalar> SpmvPlan<T> {
         if let Some(shards) = &self.shards {
             check_shards(a, &self.dispatch, &self.payloads, &self.tiles, shards)?;
         }
-        Ok(VerifiedPlan { plan: self })
+        Ok(VerifiedPlan {
+            plan: self,
+            structure_id: a.structure_id(),
+            confirm: StructureKey::confirm_of(a),
+            accepted_id: AtomicU64::new(0),
+        })
     }
 
     /// The frozen strategy.
@@ -1215,8 +1220,7 @@ fn choose_format<T: Scalar>(
     }
     let chunk = match config.chunk {
         0 => {
-            let mut lens: Vec<usize> = rows.iter().map(|&r| a.row_nnz(r as usize)).collect();
-            lens.sort_unstable_by(|x, y| y.cmp(x));
+            let lens: Vec<usize> = rows.iter().map(|&r| a.row_nnz(r as usize)).collect();
             match pick_auto_chunk(&lens) {
                 Some(c) => c,
                 None => return csr_fallback(a, rows, config),
@@ -1319,36 +1323,22 @@ fn csr_fallback<T: Scalar>(
 
 /// Pick the chunk height for an auto (`config.chunk == 0`) bin from its
 /// row-length spread. For each candidate height the padding the slab
-/// *would* realise is computed analytically from the length-sorted row
-/// lengths (exactly [`PackedSell`]'s slot count — widest lane of each
-/// group of `C` times its lane count — with no slab materialised). The
-/// widest candidate that packs tightly wins; when none does, the
-/// least-padded candidate still under [`MAX_PADDING`]. High-variance bins
-/// thus slide to narrower chunks — trading SIMD width for dead slots —
-/// instead of losing to CSR outright. Returns `None` when every
-/// candidate blows the padding gate.
-fn pick_auto_chunk(lens_desc: &[usize]) -> Option<usize> {
+/// *would* realise is computed from the bin's row lengths (in row-list
+/// order) by [`sell_slots`] — exactly [`PackedSell`]'s slot count, with
+/// no slab materialised. The widest candidate that packs tightly wins;
+/// when none does, the least-padded candidate still under
+/// [`MAX_PADDING`]. High-variance bins thus slide to narrower chunks —
+/// trading SIMD width for dead slots — instead of losing to CSR
+/// outright. Returns `None` when every candidate blows the padding gate.
+fn pick_auto_chunk(lens: &[usize]) -> Option<usize> {
     /// Padding this tight is treated as free: take the widest such chunk.
     const TIGHT: f64 = 1.05;
-    let candidates: &[usize] = if lens_desc.len() < 8 {
-        &[4, 2]
-    } else {
-        &[8, 4, 2]
-    };
-    let nnz: usize = lens_desc.iter().sum();
+    let candidates: &[usize] = if lens.len() < 8 { &[4, 2] } else { &[8, 4, 2] };
+    let nnz: usize = lens.iter().sum();
     if nnz == 0 {
         return Some(candidates[0]);
     }
-    let padding = |c: usize| {
-        let mut slots = 0usize;
-        let mut lane0 = 0usize;
-        while lane0 < lens_desc.len() {
-            let lanes = (lens_desc.len() - lane0).min(c);
-            slots += lens_desc[lane0] * lanes;
-            lane0 += c;
-        }
-        slots as f64 / nnz as f64
-    };
+    let padding = |c: usize| sell_slots(lens, c) as f64 / nnz as f64;
     let mut best: Option<(usize, f64)> = None;
     for &c in candidates {
         let p = padding(c);
@@ -1456,22 +1446,37 @@ fn build_tiles<T: Scalar>(
 ///
 /// The only way to obtain one is through `verify`; the wrapped plan is
 /// immutable from outside, so the proof cannot go stale for the pattern
-/// it was established against.
+/// it was established against. The unchecked entry points still refuse
+/// a matrix whose structure differs from that pattern: a matrix carrying
+/// the verified [`CsrMatrix::structure_id`] passes in O(1), any other is
+/// confirmed once against the [`StructureKey::confirm_of`] checksum
+/// taken at verification (and its id remembered when it matches).
 pub struct VerifiedPlan<T: Scalar> {
     plan: SpmvPlan<T>,
+    /// Structure id of the matrix the proof ran against.
+    structure_id: u64,
+    /// [`StructureKey::confirm_of`] that matrix.
+    confirm: u64,
+    /// The last other structure id confirmed equal to the proven one
+    /// (0, which no matrix carries, until then), so re-running on an
+    /// equal but independently built matrix pays the O(m + nnz)
+    /// confirmation once rather than per call. Ids are never reused and
+    /// change on every structural mutation, so a stale entry can only
+    /// miss, never pass a different structure.
+    accepted_id: AtomicU64,
 }
 
 impl<T: Scalar> VerifiedPlan<T> {
     /// Execute without the per-call O(m) fingerprint scan.
     ///
-    /// Validation is O(1): vector lengths plus the matrix's dimensions
-    /// and NNZ against the compiled fingerprint. The row-pointer hash is
-    /// *not* rechecked — that is exactly the cost the verification proof
-    /// paid for once. Handing this a different matrix that happens to
-    /// share dimensions and NNZ therefore produces wrong *values* (never
-    /// undefined behaviour: row reads still go through bounds-checked
-    /// slices, and output writes were proven in-bounds for this shape).
-    /// Value-only updates — the intended use — are always fine.
+    /// Validation is O(1) in the intended use: vector lengths, the
+    /// matrix's dimensions and NNZ against the compiled fingerprint, and
+    /// its [`CsrMatrix::structure_id`] against the verified one. Value
+    /// updates and clones keep the id, so they always pass. A matrix
+    /// with any other id is confirmed against the structure checksum
+    /// taken at verification (O(m + nnz), once per matrix); a different
+    /// structure — even one sharing `row_ptr` — is refused with
+    /// [`PlanError::PatternMismatch`] instead of producing wrong values.
     pub fn execute_unchecked(
         &self,
         a: &CsrMatrix<T>,
@@ -1493,13 +1498,31 @@ impl<T: Scalar> VerifiedPlan<T> {
                 got: u.len(),
             });
         }
-        if a.n_rows() != fp.m || a.n_cols() != fp.n || a.nnz() != fp.nnz {
-            return Err(PlanError::PatternMismatch {
-                expected: *fp,
-                got: PatternFingerprint::of(a),
-            });
-        }
+        self.check_structure(a)?;
         Ok(self.plan.launch_all(a, v, u))
+    }
+
+    /// The structure guard of the unchecked entry points: O(1) on the
+    /// verified or last confirmed id, one checksum pass otherwise (see
+    /// [`execute_unchecked`](Self::execute_unchecked)).
+    fn check_structure(&self, a: &CsrMatrix<T>) -> Result<(), PlanError> {
+        let fp = &self.plan.fingerprint;
+        let mismatch = || PlanError::PatternMismatch {
+            expected: *fp,
+            got: PatternFingerprint::of(a),
+        };
+        if a.n_rows() != fp.m || a.n_cols() != fp.n || a.nnz() != fp.nnz {
+            return Err(mismatch());
+        }
+        let id = a.structure_id();
+        if id == self.structure_id || id == self.accepted_id.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        if StructureKey::confirm_of(a) != self.confirm {
+            return Err(mismatch());
+        }
+        self.accepted_id.store(id, Ordering::Relaxed);
+        Ok(())
     }
 
     /// The checked execute path (full fingerprint validation), for
@@ -1510,7 +1533,8 @@ impl<T: Scalar> VerifiedPlan<T> {
 
     /// Batched execute without the per-call O(m) fingerprint scan: the
     /// SpMM counterpart of [`execute_unchecked`](Self::execute_unchecked),
-    /// with the same O(1) validation contract. The verification proof
+    /// with the same validation contract (O(1) on the verified
+    /// structure id). The verification proof
     /// already covered the batched write set — `check_payloads` proves
     /// the RHS-block decomposition partitions `[0, K)` for a sweep of
     /// widths, so the (tile × block) queue writes each output element
@@ -1521,14 +1545,8 @@ impl<T: Scalar> VerifiedPlan<T> {
         x: &DenseBlock<T>,
         y: &mut DenseBlock<T>,
     ) -> Result<LaunchCost, PlanError> {
-        let fp = &self.plan.fingerprint;
         self.plan.check_batch_dims(x, y)?;
-        if a.n_rows() != fp.m || a.n_cols() != fp.n || a.nnz() != fp.nnz {
-            return Err(PlanError::PatternMismatch {
-                expected: *fp,
-                got: PatternFingerprint::of(a),
-            });
-        }
+        self.check_structure(a)?;
         Ok(self.plan.launch_all_batch(a, x, y))
     }
 
@@ -1683,6 +1701,86 @@ mod tests {
             }
             .cache_key()
         );
+    }
+
+    /// The aliasing pair: the same `row_ptr`, every column rotated by
+    /// `shift` (rows re-sorted), so only `col_idx` differs.
+    fn rotate_columns(a: &CsrMatrix<f64>, shift: usize) -> CsrMatrix<f64> {
+        let n = a.n_cols();
+        let cols = a
+            .col_idx()
+            .iter()
+            .map(|&c| ((c as usize + shift) % n) as u32)
+            .collect();
+        let mut b = CsrMatrix::from_parts(
+            a.n_rows(),
+            n,
+            a.row_ptr().to_vec(),
+            cols,
+            a.values().to_vec(),
+        )
+        .unwrap();
+        b.sort_rows();
+        b
+    }
+
+    #[test]
+    fn unchecked_entry_points_refuse_a_matrix_sharing_only_row_ptr() {
+        let a = gen::banded::<f64>(1500, 3, 13);
+        let rotated = rotate_columns(&a, 500);
+        assert_eq!(PatternFingerprint::of(&a), PatternFingerprint::of(&rotated));
+        let strategy = Strategy {
+            binning: BinningScheme::Coarse { u: 10 },
+            kernels: vec![KernelId::Serial; 8],
+        };
+        let plan = SpmvPlan::compile(&a, strategy, Box::new(NativeCpuBackend::default()))
+            .verify(&a)
+            .unwrap();
+        let v: Vec<f64> = (0..a.n_cols()).map(|i| (i % 7) as f64 - 3.0).collect();
+        let mut u = vec![0.0f64; a.n_rows()];
+        assert!(matches!(
+            plan.execute_unchecked(&rotated, &v, &mut u),
+            Err(PlanError::PatternMismatch { .. })
+        ));
+        let mut x = DenseBlock::zeros(a.n_cols(), 3);
+        x.fill_with(|i, j| ((i + 5 * j) % 11) as f64 - 5.0);
+        let mut y = DenseBlock::zeros(a.n_rows(), 3);
+        assert!(matches!(
+            plan.execute_batch_unchecked(&rotated, &x, &mut y),
+            Err(PlanError::PatternMismatch { .. })
+        ));
+
+        // The verified matrix, its clone after a value update (same id,
+        // O(1)), and an independently built equal matrix (confirmed,
+        // then remembered) all run, bit-for-bit.
+        let mut refreshed = a.clone();
+        refreshed.fill_values_with(|k| (k % 13) as f64 - 6.0);
+        let rebuilt = CsrMatrix::from_parts(
+            a.n_rows(),
+            a.n_cols(),
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            a.values().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(refreshed.structure_id(), a.structure_id());
+        assert_ne!(rebuilt.structure_id(), a.structure_id());
+        for m in [&a, &refreshed, &rebuilt, &rebuilt] {
+            plan.execute_unchecked(m, &v, &mut u).unwrap();
+            assert_eq!(u, m.spmv_seq_alloc(&v).unwrap());
+            plan.execute_batch_unchecked(m, &x, &mut y).unwrap();
+            for j in 0..3 {
+                assert_eq!(y.column(j), m.spmv_seq_alloc(&x.column(j)).unwrap());
+            }
+        }
+        assert_eq!(
+            plan.accepted_id.load(Ordering::Relaxed),
+            rebuilt.structure_id()
+        );
+        // Sorting rows is a structural mutation: a new id.
+        let mut sorted = a.clone();
+        sorted.sort_rows();
+        assert_ne!(sorted.structure_id(), a.structure_id());
     }
 
     #[test]

@@ -481,9 +481,10 @@ pub fn check_dispatch<T: Scalar>(
 ///    (a `PackedSell` format with a CSR payload — or vice versa — means
 ///    the plan would execute a different format than it reports);
 /// 2. every packed payload mirrors its bin exactly: same row multiset,
-///    chunks length-sorted with consistent offsets, every non-padding
-///    slot pointing at the CSR entry it claims, every padding slot
-///    marked ([`spmv_sparse::packed::PackedSell::check_against`]);
+///    lanes length-sorted within each chunk, consistent offsets, every
+///    non-padding slot pointing at the CSR entry it claims, every
+///    padding slot marked
+///    ([`spmv_sparse::packed::PackedSell::check_against`]);
 /// 3. the fused tile queue (when present) partitions each bin's work —
 ///    chunk ranges for packed bins, row-list spans for CSR bins — with
 ///    no overlap, no gap, and no overrun.

@@ -1,14 +1,15 @@
-//! Fused single-scope dispatch over a precompiled tile queue.
+//! Fused single-region dispatch over a precompiled tile queue.
 //!
-//! The per-bin launch discipline ([`crate::pool`] / [`crate::scope`])
-//! pays one full synchronization barrier per bin: every worker must
+//! A per-bin launch discipline (one [`crate::scope::parallel_for`] per
+//! bin) pays one full synchronization barrier per bin: every worker must
 //! finish bin *k* before any worker may start bin *k + 1*, even though
 //! the bins write disjoint rows and have no ordering constraint. For
 //! plans with many small bins that barrier — not the arithmetic — is the
 //! launch cost.
 //!
 //! [`fused_for_each`] replaces the sequence of launches with **one**
-//! scoped parallel region over a flat queue of precompiled tiles. Workers
+//! parallel region ([`crate::team`]) over a flat queue of precompiled
+//! tiles. Workers
 //! claim tiles from a shared atomic cursor, so a thread that finishes its
 //! share of one bin's tiles immediately steals tiles of the next bin —
 //! cross-bin work stealing with a single join at the end. The caller
@@ -17,15 +18,16 @@
 //! execution discipline.
 
 use crate::scope::num_threads;
+use crate::team;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Execute `body(tile)` for every tile index in `[0, n)` inside a single
-/// scoped parallel region. Tiles are claimed one at a time from a shared
+/// parallel region. Tiles are claimed one at a time from a shared
 /// cursor in queue order; `body` must be safe to run concurrently on
 /// distinct indices (tiles must write disjoint data).
 ///
-/// Degenerates to a sequential loop when `n <= 1` or only one thread is
-/// available, so callers never pay a spawn for trivial queues.
+/// Runs inline on the caller when `n <= 1` or only one thread is
+/// available, so trivial queues never wake the team.
 pub fn fused_for_each<F>(n: usize, body: F)
 where
     F: Fn(usize) + Sync,
@@ -34,37 +36,14 @@ where
 }
 
 /// [`fused_for_each`] with an explicit worker cap: at most `workers`
-/// threads participate (`0` means the pool default, [`num_threads`]).
+/// threads participate (`0` means the process default, [`num_threads`]).
 /// The process-wide thread count is frozen at first use, so benches that
 /// sweep thread counts within one process go through this entry.
 pub fn fused_for_each_with<F>(workers: usize, n: usize, body: F)
 where
     F: Fn(usize) + Sync,
 {
-    let workers = if workers == 0 {
-        num_threads()
-    } else {
-        workers.min(num_threads())
-    }
-    .min(n);
-    if workers <= 1 {
-        for t in 0..n {
-            body(t);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                if t >= n {
-                    break;
-                }
-                body(t);
-            });
-        }
-    });
+    fused_for_each_scratch(workers, n, || (), |_, t| body(t));
 }
 
 /// [`fused_for_each_with`] where every worker carries a private scratch
@@ -72,9 +51,9 @@ where
 /// `body` call that worker makes. The cache-blocked SpMV executor uses
 /// this for its per-row cursor/partial-sum buffers: allocating them per
 /// tile would put a heap allocation on the hot path, while sharing them
-/// across workers would race. The sequential degenerate case (`n <= 1`
-/// or one worker) builds a single scratch and reuses it across all
-/// tiles, so results cannot depend on how tiles map to workers — the
+/// across workers would race. A region that runs inline (`n <= 1`, one
+/// worker, or a busy team) builds a single scratch and reuses it across
+/// all tiles, so results cannot depend on how tiles map to workers — the
 /// scratch contract is that `body` fully reinitialises whatever state it
 /// reads.
 pub fn fused_for_each_scratch<S, I, F>(workers: usize, n: usize, init: I, body: F)
@@ -88,26 +67,15 @@ where
         workers.min(num_threads())
     }
     .min(n);
-    if workers <= 1 {
-        let mut scratch = init();
-        for t in 0..n {
-            body(&mut scratch, t);
-        }
-        return;
-    }
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let t = cursor.fetch_add(1, Ordering::Relaxed);
-                    if t >= n {
-                        break;
-                    }
-                    body(&mut scratch, t);
-                }
-            });
+    team::region(workers, |_, _| {
+        let mut scratch = init();
+        loop {
+            let t = cursor.fetch_add(1, Ordering::Relaxed);
+            if t >= n {
+                break;
+            }
+            body(&mut scratch, t);
         }
     });
 }
@@ -225,7 +193,7 @@ mod tests {
                 let end = (start + tile).min(n_items);
                 for i in start..end {
                     // SAFETY: tile ranges are disjoint and in bounds; the
-                    // scope joins before `out` is read.
+                    // region joins before `out` is read.
                     unsafe { *p.0.add(i) = (i * i) as u64 };
                 }
             });
@@ -238,7 +206,7 @@ mod tests {
     #[derive(Clone, Copy)]
     struct SendSlice(*mut u64);
     // SAFETY: test-only — used exclusively for disjoint writes inside the
-    // fused scope, which joins before the buffer is read.
+    // fused region, which joins before the buffer is read.
     unsafe impl Send for SendSlice {}
     // SAFETY: same disjoint-write discipline.
     unsafe impl Sync for SendSlice {}

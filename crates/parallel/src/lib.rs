@@ -5,16 +5,17 @@
 //! run on this, and the GPU *simulator* uses it to cost work-groups
 //! concurrently.
 //!
-//! Two layers are provided:
+//! The layers, bottom up:
 //!
-//! * [`parallel_for`]-style free functions built on `std::thread::scope`
-//!   that operate on borrowed data with dynamic (atomic-counter) chunk
-//!   scheduling — the moral equivalent of a `#pragma omp parallel for
-//!   schedule(dynamic)`;
-//! * a persistent [`pool::ThreadPool`] for `'static` jobs, so repeated
-//!   small launches (one per bin, as the framework issues) don't pay
-//!   thread spawn/join each time;
-//! * a fused single-scope dispatcher ([`fused_for_each`]) that runs a
+//! * a persistent worker [`team`]: `num_threads() − 1` parked workers
+//!   started once per process, plus the calling thread as role 0. Every
+//!   dispatcher below opens one team region per call, so an execute pays
+//!   a condition-variable wake instead of a thread spawn/join, and a
+//!   role maps to the same OS thread on every call;
+//! * [`parallel_for`]-style free functions over borrowed data with
+//!   dynamic (atomic-counter) chunk scheduling — the moral equivalent of
+//!   a `#pragma omp parallel for schedule(dynamic)`;
+//! * a fused single-region dispatcher ([`fused_for_each`]) that runs a
 //!   whole precompiled tile queue in one parallel region, so multi-bin
 //!   plans pay one join instead of one barrier per bin;
 //! * a topology/placement layer ([`topology`]) naming how many workers
@@ -25,6 +26,8 @@
 //!   dependency-carrying schedules (level-set triangular solves): one
 //!   worker team marches through barrier-separated steps, so step
 //!   `s + 1` reads what step `s` wrote without a spawn/join per level.
+//!   It spawns its own scoped team once per solve, because a level
+//!   schedule needs exactly `workers` roles.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -32,20 +35,20 @@
 pub mod clock;
 pub mod fused;
 pub mod partition;
-pub mod pool;
 pub mod scope;
 pub mod shard;
 pub mod step;
+pub mod team;
 pub mod topology;
 
 pub use clock::{Clock, FakeClock, MonotonicClock};
 pub use fused::{fused_for_each, fused_for_each_scratch, fused_for_each_with};
 pub use partition::{chunk_ranges, Chunk};
-pub use pool::ThreadPool;
 pub use scope::{
     hardware_threads, machine_threads, num_threads, parallel_for, parallel_map_collect,
     parallel_reduce,
 };
 pub use shard::sharded_for_each_scratch;
 pub use step::stepped_for_each;
+pub use team::region;
 pub use topology::{parse_placement, Placement, PlacementError, PlacementPolicy, Topology};

@@ -1,7 +1,8 @@
-//! Scoped data-parallel loops over borrowed data.
+//! Data-parallel loops over borrowed data.
 //!
-//! Built directly on `std::thread::scope`, with a shared atomic cursor
-//! for dynamic scheduling: workers repeatedly claim the next chunk of
+//! Each loop is one region of the persistent worker team
+//! ([`crate::team`]), with a shared atomic cursor for dynamic
+//! scheduling: workers repeatedly claim the next chunk of
 //! `grain` items until the index space is exhausted. This is the
 //! load-balancing discipline the paper's binning is designed around —
 //! uneven per-item work (rows of different NNZ) must not serialise on one
@@ -47,8 +48,9 @@ pub fn machine_threads() -> usize {
 /// Number of worker threads used by the free functions: the resolved
 /// process placement's worker count
 /// ([`crate::topology::Placement::from_env`]), so every layer — the flat
-/// loops here, the sharded runtime, the thread pool, servers, benches —
-/// observes **one** topology per process. `SPMV_PLACEMENT` caps this;
+/// loops here, the sharded runtime, servers, benches —
+/// observes **one** topology per process (the worker team is sized from
+/// it once). `SPMV_PLACEMENT` caps this;
 /// unset, it is the hardware budget (`SPMV_NUM_THREADS` or the
 /// machine's available parallelism).
 ///
@@ -78,18 +80,13 @@ where
         return;
     }
     let cursor = AtomicUsize::new(0);
-    let workers = workers.min(n.div_ceil(grain));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + grain).min(n);
-                body(start, end);
-            });
+    crate::team::region(workers.min(n.div_ceil(grain)), |_, _| loop {
+        let start = cursor.fetch_add(grain, Ordering::Relaxed);
+        if start >= n {
+            break;
         }
+        let end = (start + grain).min(n);
+        body(start, end);
     });
 }
 
@@ -106,7 +103,7 @@ where
         let out_ptr = SendPtr(out.as_mut_ptr());
         parallel_for(n, grain, |start, end| {
             // SAFETY: chunks are disjoint, so each index is written by
-            // exactly one worker; the buffer outlives the scope.
+            // exactly one worker; the buffer outlives the region.
             let p = out_ptr;
             for i in start..end {
                 unsafe { *p.0.add(i) = f(i) };
@@ -124,7 +121,7 @@ impl<T> Clone for SendPtr<T> {
 }
 impl<T> Copy for SendPtr<T> {}
 // SAFETY: the pointer is only used to write disjoint indices inside the
-// scope of `parallel_for`, which joins all workers before returning.
+// region of `parallel_for`, which joins all workers before returning.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: same restriction — shared only between workers writing disjoint
 // indices, all joined before the buffer is read.
@@ -165,7 +162,7 @@ where
     parallel_for(n, grain, |start, end| {
         let p = out_ptr;
         for i in start..end {
-            // SAFETY: disjoint indices, buffer outlives the scope.
+            // SAFETY: disjoint indices, buffer outlives the region.
             unsafe { *p.0.add(i) = Some(f(i)) };
         }
     });

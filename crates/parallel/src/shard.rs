@@ -30,8 +30,9 @@
 //! worker runs an item cannot change a single bit of the result.
 
 use crate::scope::num_threads;
+use crate::team;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, OnceLock};
 
 /// Execute `body(scratch, item)` for every item id in every queue of
 /// `queues`, claiming shard-locally first and cross-shard (ring order)
@@ -48,11 +49,14 @@ use std::sync::Barrier;
 /// The barrier is why this is safe to combine with write-once outputs:
 /// every touch-zero happens-before every real write.
 ///
-/// At most `workers` threads participate (`0` means [`num_threads`]);
-/// with one effective worker everything runs inline on the caller in
-/// deterministic shard-then-queue order, and the result is bit-for-bit
-/// identical to any parallel schedule because items write disjoint
-/// outputs exactly once.
+/// At most `workers` threads participate (`0` means [`num_threads`]),
+/// as the roles of one team region ([`crate::team`]), so role `r` runs
+/// on the same OS thread on every call — the thread that first-touched
+/// its home shard. With one effective worker (or a busy team)
+/// everything runs inline on the caller in deterministic
+/// shard-then-queue order, and the result is bit-for-bit identical to
+/// any parallel schedule because items write disjoint outputs exactly
+/// once.
 pub fn sharded_for_each_scratch<S, I, T, F>(
     workers: usize,
     queues: &[Vec<u32>],
@@ -66,6 +70,9 @@ pub fn sharded_for_each_scratch<S, I, T, F>(
     F: Fn(&mut S, u32) + Sync,
 {
     let n_shards = queues.len();
+    if n_shards == 0 {
+        return;
+    }
     let total: usize = queues.iter().map(Vec::len).sum();
     let workers = if workers == 0 {
         num_threads()
@@ -73,55 +80,33 @@ pub fn sharded_for_each_scratch<S, I, T, F>(
         workers.min(num_threads())
     }
     .min(total);
-    if workers <= 1 {
+    let cursors: Vec<AtomicUsize> = (0..n_shards).map(|_| AtomicUsize::new(0)).collect();
+    // Sized on first use: every role of one region sees the same count.
+    let barrier = OnceLock::new();
+    team::region(workers, |role, roles| {
         if do_touch {
-            for s in 0..n_shards {
+            // Shards are dealt round-robin over roles (s % roles ==
+            // role), covering each exactly once; the barrier orders all
+            // touches before all drains.
+            let mut s = role;
+            while s < n_shards {
                 touch(s);
+                s += roles;
             }
+            barrier.get_or_init(|| Barrier::new(roles)).wait();
         }
         let mut scratch = init();
-        for queue in queues {
-            for &item in queue {
-                body(&mut scratch, item);
+        let home = role % n_shards;
+        for d in 0..n_shards {
+            let s = (home + d) % n_shards;
+            let queue = &queues[s];
+            loop {
+                let i = cursors[s].fetch_add(1, Ordering::Relaxed);
+                if i >= queue.len() {
+                    break;
+                }
+                body(&mut scratch, queue[i]);
             }
-        }
-        return;
-    }
-    let cursors: Vec<AtomicUsize> = (0..n_shards).map(|_| AtomicUsize::new(0)).collect();
-    let barrier = Barrier::new(workers);
-    std::thread::scope(|scope| {
-        for role in 0..workers {
-            let cursors = &cursors;
-            let barrier = &barrier;
-            let touch = &touch;
-            let init = &init;
-            let body = &body;
-            scope.spawn(move || {
-                if do_touch {
-                    // Shards are dealt round-robin over roles
-                    // (s % workers == role), covering each exactly once;
-                    // the barrier orders all touches before all drains.
-                    let mut s = role;
-                    while s < n_shards {
-                        touch(s);
-                        s += workers;
-                    }
-                    barrier.wait();
-                }
-                let mut scratch = init();
-                let home = role % n_shards;
-                for d in 0..n_shards {
-                    let s = (home + d) % n_shards;
-                    let queue = &queues[s];
-                    loop {
-                        let i = cursors[s].fetch_add(1, Ordering::Relaxed);
-                        if i >= queue.len() {
-                            break;
-                        }
-                        body(&mut scratch, queue[i]);
-                    }
-                }
-            });
         }
     });
 }

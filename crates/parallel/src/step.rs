@@ -3,15 +3,18 @@
 //!
 //! The fused ([`crate::fused`]) and sharded ([`crate::shard`])
 //! dispatchers run *independent* items — any interleaving is fine, so
-//! one scope with free-running workers suffices. Dependency-carrying
+//! one team region with free-running roles suffices, and a busy team
+//! may run it inline as a single role. Dependency-carrying
 //! work (level-set scheduled triangular solves) is different: step
 //! `s + 1` may read what step `s` wrote, so every worker must finish
 //! step `s` before any worker starts `s + 1`. Spawning one scope per
 //! step would give that ordering at the cost of a spawn/join per level
 //! — hundreds for deep triangular factors. Instead, this dispatcher
-//! spawns the team once and separates steps with a [`Barrier`], the
-//! same device the sharded executor uses to order first-touch before
-//! draining.
+//! spawns its own team once per solve (`std::thread::scope`, not the
+//! persistent [`crate::team`]: a level schedule needs exactly
+//! `workers` roles, which a busy team cannot promise) and separates
+//! steps with a [`Barrier`], the same device the sharded executor uses
+//! to order first-touch before draining.
 //!
 //! `Barrier::wait` gives the needed happens-before edge: every write
 //! made in step `s` (by any worker) is visible to every worker in step

@@ -165,7 +165,7 @@ impl Placement {
     ///
     /// This is the **single entry point** for topology resolution:
     /// [`crate::scope::num_threads`] (and through it every flat parallel
-    /// loop, the thread pool default, and the benches) returns
+    /// loop, the worker team's size, and the benches) returns
     /// `from_env().workers`, so no two layers of one process can observe
     /// different thread counts from the same environment.
     ///

@@ -15,6 +15,14 @@ fn next_values_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Process-unique id of a sparsity structure epoch: handed to each
+/// freshly built matrix and on every structural mutation. Same
+/// guarantees as [`next_values_id`], from its own counter; never 0.
+fn next_structure_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A sparse matrix in compressed sparse row format.
 ///
 /// Three arrays represent the matrix, exactly as in Figure 1 of the
@@ -42,6 +50,13 @@ pub struct CsrMatrix<T> {
     /// updates without rescanning O(nnz) data. Clones keep the id — their
     /// values are bit-identical until either side mutates (which bumps).
     values_id: u64,
+    /// Id of the current `(row_ptr, col_idx)` structure: assigned fresh
+    /// at construction and on every structural mutation
+    /// ([`sort_rows`](Self::sort_rows)); value updates keep it. A plan
+    /// verified against a matrix records this id, so re-running it on
+    /// the same structure is an O(1) check. Clones keep the id, like
+    /// `values_id`.
+    structure_id: u64,
 }
 
 impl<T: PartialEq> PartialEq for CsrMatrix<T> {
@@ -133,6 +148,7 @@ impl<T: Scalar> CsrMatrix<T> {
             col_idx,
             values,
             values_id: next_values_id(),
+            structure_id: next_structure_id(),
         })
     }
 
@@ -156,6 +172,7 @@ impl<T: Scalar> CsrMatrix<T> {
             col_idx,
             values,
             values_id: next_values_id(),
+            structure_id: next_structure_id(),
         }
     }
 
@@ -168,6 +185,7 @@ impl<T: Scalar> CsrMatrix<T> {
             col_idx: Vec::new(),
             values: Vec::new(),
             values_id: next_values_id(),
+            structure_id: next_structure_id(),
         }
     }
 
@@ -180,6 +198,7 @@ impl<T: Scalar> CsrMatrix<T> {
             col_idx: (0..n as u32).collect(),
             values: vec![T::ONE; n],
             values_id: next_values_id(),
+            structure_id: next_structure_id(),
         }
     }
 
@@ -240,6 +259,14 @@ impl<T: Scalar> CsrMatrix<T> {
     #[inline]
     pub fn values_id(&self) -> u64 {
         self.values_id
+    }
+
+    /// The id of this matrix's sparsity structure (see the field docs):
+    /// equal ids mean the same `row_ptr` and `col_idx`, unchanged since
+    /// the id was handed out. Unequal ids say nothing — independently
+    /// built matrices may still share a structure.
+    pub fn structure_id(&self) -> u64 {
+        self.structure_id
     }
 
     /// Number of stored entries in row `i`.
@@ -323,6 +350,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// to values, which travel with their column).
     pub fn sort_rows(&mut self) {
         self.values_id = next_values_id();
+        self.structure_id = next_structure_id();
         for i in 0..self.n_rows {
             let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
             let mut pairs: Vec<(u32, T)> = self.col_idx[s..e]
@@ -367,6 +395,7 @@ impl<T: Scalar> CsrMatrix<T> {
             col_idx,
             values,
             values_id: next_values_id(),
+            structure_id: next_structure_id(),
         }
     }
 

@@ -50,7 +50,7 @@ pub use dense_block::DenseBlock;
 pub use error::{CsrBuildError, SolveBuildError, SparseError};
 pub use features::{ColumnLocality, FeatureSet, MatrixFeatures};
 pub use histogram::RowHistogram;
-pub use packed::{BaseMode, IndexKind, PackedSell, SlabView};
+pub use packed::{sell_slots, BaseMode, IndexKind, PackedSell, SlabView};
 pub use scalar::Scalar;
 pub use solve::{
     level_sets, split_triangular, sptrsv_seq, symgs_seq, SolveDirection, TriangularHalves,

@@ -6,18 +6,22 @@
 //! irregular short inner loop per row. [`PackedSell`] removes that
 //! overhead for the low/mid-NNZ bins where it dominates:
 //!
-//! * the bin's rows are sorted by NNZ descending (the "σ" sort, with σ =
-//!   the whole bin — bins are already workload-homogeneous), with
-//!   equal-length rows ordered by minimum column: structurally similar
-//!   rows land in the same chunk, which is what the per-column base
-//!   anchors below monetise;
+//! * the bin's rows are sorted by NNZ descending within consecutive
+//!   windows of its row list (the "σ" sort, with σ = 64 chunks — bins
+//!   are already workload-homogeneous, so a local sort loses little
+//!   padding, and a window's rows stay a narrow band of the output, so a
+//!   tile's writes do not scatter over all of `u` or share cache lines
+//!   with another worker's tiles), with equal-length rows ordered by
+//!   minimum column: structurally similar rows land in the same chunk,
+//!   which is what the per-column base anchors below monetise;
 //! * consecutive groups of `C` rows form a *chunk* whose columns are laid
 //!   out column-major (`lane` fastest), so one pass over a chunk streams
 //!   `C` rows in lock-step with unit-stride loads — the shape a compiler
 //!   auto-vectorises and the paper's SELL/ELL-family references exploit;
 //! * within a chunk, lanes longer than the shortest row form a *ragged
-//!   tail*: because lanes are length-sorted, the active lanes at column
-//!   `j` are always a prefix, so the kernel never multiplies padding.
+//!   tail*: because a chunk's lanes are length-sorted (windows are whole
+//!   chunks), the active lanes at column `j` are always a prefix, so the
+//!   kernel never multiplies padding.
 //!   Padding exists only as unread storage slots, which keeps results
 //!   **bit-for-bit identical** to the sequential CSR reference (same
 //!   per-row `mul_add_` order, no `0 · v[0]` terms that would break
@@ -78,6 +82,34 @@ use std::sync::RwLock;
 /// kernels; kept so [`refresh`](PackedSell::ensure_values) is branch-light
 /// and [`check_against`](PackedSell::check_against) can prove slab shape).
 pub const SRC_PAD: u32 = u32::MAX;
+
+/// Chunks per σ window: the length sort runs over consecutive windows of
+/// `SIGMA_CHUNKS · C` rows of the caller's row list, never across them.
+/// A whole number of chunks, so no chunk straddles two windows. Bins list
+/// their rows in ascending order, so a window — and every tile cut from
+/// its chunks — writes a narrow band of the output instead of lines
+/// scattered over all of `u` (which two workers' tiles would also share).
+const SIGMA_CHUNKS: usize = 64;
+
+/// Storage slots [`PackedSell::from_rows`] realises for rows of lengths
+/// `lens` (in the caller's row-list order) at chunk height `chunk`:
+/// per chunk of each σ window, its widest lane times its lane count.
+/// Lets plan compilation price candidate heights without packing.
+pub fn sell_slots(lens: &[usize], chunk: usize) -> usize {
+    assert!(chunk > 0, "chunk size must be positive");
+    let mut sorted = Vec::with_capacity(lens.len().min(SIGMA_CHUNKS * chunk));
+    let mut slots = 0;
+    for window in lens.chunks(SIGMA_CHUNKS * chunk) {
+        sorted.clear();
+        sorted.extend_from_slice(window);
+        sorted.sort_unstable_by(|x, y| y.cmp(x));
+        slots += sorted
+            .chunks(chunk)
+            .map(|lanes| lanes[0] * lanes.len())
+            .sum::<usize>();
+    }
+    slots
+}
 
 /// Lane width of the delta-compressed column-index stream.
 ///
@@ -411,7 +443,8 @@ fn choose_encoding<T: Scalar>(
 }
 
 /// A row subset packed into length-sorted, column-major chunks of `C`
-/// lanes (SELL-C-σ with σ = the whole subset), with the column-index
+/// lanes (SELL-C-σ with σ = 64 chunks of the subset's row list), with
+/// the column-index
 /// stream delta-compressed per chunk (see the module docs). Built once
 /// per sparsity pattern by plan compilation; executes many times.
 pub struct PackedSell<T: Scalar> {
@@ -429,7 +462,7 @@ pub struct PackedSell<T: Scalar> {
     /// [`check_against`](Self::check_against) re-derives every chunk's
     /// encoding under the same floor.
     floor: IndexKind,
-    /// Row ids in packed (length-sorted) order.
+    /// Row ids in packed order (length-sorted within each σ window).
     rows: Vec<u32>,
     /// NNZ of each packed row (same order as `rows`).
     lens: Vec<u32>,
@@ -461,10 +494,10 @@ impl<T: Scalar> PackedSell<T> {
     /// Pack `rows` of `a` into chunks of `chunk` lanes with the
     /// narrowest feasible index width (equivalent to
     /// [`from_rows_with_index`](Self::from_rows_with_index) with an
-    /// [`IndexKind::U8`] floor). Rows are sorted by NNZ descending,
-    /// equal lengths by minimum column (stable beyond that, so fully
-    /// tied rows keep their input order); the caller's list is not
-    /// modified. The value slab is gathered immediately from `a`'s
+    /// [`IndexKind::U8`] floor). Within each σ window of the caller's
+    /// list, rows are sorted by NNZ descending, equal lengths by minimum
+    /// column (stable beyond that, so fully tied rows keep their input
+    /// order); the caller's list is not modified. The value slab is gathered immediately from `a`'s
     /// current values.
     ///
     /// # Panics
@@ -502,18 +535,21 @@ impl<T: Scalar> PackedSell<T> {
         );
         let row_ptr = a.row_ptr();
         let mut order: Vec<u32> = rows.to_vec();
+        // The σ sort, one window of the caller's row list at a time.
         // Primary: NNZ descending (the SELL length sort). Tie-break:
         // minimum column, so equal-length rows with nearby column sets
         // share a chunk — the locality the Column base mode prices.
         // Each row's dot product is accumulated independently, so lane
         // placement cannot change any result bit.
-        order.sort_by_key(|&r| {
-            let (rcols, _) = a.row(r as usize);
-            (
-                std::cmp::Reverse(rcols.len()),
-                rcols.iter().copied().min().unwrap_or(u32::MAX),
-            )
-        });
+        for window in order.chunks_mut(SIGMA_CHUNKS * chunk) {
+            window.sort_by_key(|&r| {
+                let (rcols, _) = a.row(r as usize);
+                (
+                    std::cmp::Reverse(rcols.len()),
+                    rcols.iter().copied().min().unwrap_or(u32::MAX),
+                )
+            });
+        }
         let lens: Vec<u32> = order
             .iter()
             .map(|&r| a.row_nnz(r as usize) as u32)
@@ -526,7 +562,8 @@ impl<T: Scalar> PackedSell<T> {
         for c in 0..n_chunks {
             let lane0 = c * chunk;
             let lanes = (order.len() - lane0).min(chunk);
-            // Widest lane first within each chunk (global desc sort).
+            // Widest lane first within each chunk (σ windows are whole
+            // chunks, so every chunk lies inside one sorted window).
             let width = lens[lane0] as usize;
             slots += width * lanes;
             chunk_off.push(slots);
@@ -664,7 +701,7 @@ impl<T: Scalar> PackedSell<T> {
         (covered[best] * 2 >= self.rows.len() && best != self.chunk).then_some(best)
     }
 
-    /// Rows covered, in packed (length-sorted) order.
+    /// Rows covered, in packed order (length-sorted within each σ window).
     pub fn rows(&self) -> &[u32] {
         &self.rows
     }
@@ -1013,8 +1050,8 @@ impl<T: Scalar> PackedSell<T> {
                 sums[l] = vw[l].mul_add_(xs[l], sums[l]);
             }
         }
-        // Ragged tail: lanes are length-sorted descending, so the active
-        // lanes at column j are the prefix with len > j.
+        // Ragged tail: a chunk's lanes are length-sorted descending, so
+        // the active lanes at column j are the prefix with len > j.
         let mut active = L;
         for j in min_len..width {
             while active > 0 && (lens[active - 1] as usize) <= j {
@@ -1257,8 +1294,10 @@ impl<T: Scalar> PackedSell<T> {
 
     /// Re-derive the packed layout from `a` and `expected_rows` and prove
     /// this payload matches it exactly: same row multiset, lengths equal
-    /// to the CSR row lengths, chunks length-sorted with correct offsets,
-    /// every non-padding slot's `(decoded col, src)` equal to the CSR
+    /// to the CSR row lengths, lane lengths non-increasing *within each
+    /// chunk* (what the kernels rely on: lane 0 sets the chunk width and
+    /// the lanes still active at any column form a prefix; the order
+    /// across chunks is free), correct offsets, every non-padding slot's `(decoded col, src)` equal to the CSR
     /// entry it claims to mirror with the decoded column in bounds,
     /// every padding slot marked, and every chunk's stored encoding
     /// (base mode, lane width, base table) equal to the one
@@ -1303,8 +1342,13 @@ impl<T: Scalar> PackedSell<T> {
                     a.row_nnz(r as usize)
                 ));
             }
-            if i + 1 < self.lens.len() && self.lens[i + 1] > len {
-                return Err(format!("packed rows not length-sorted at index {i}"));
+            let same_chunk = (i + 1) % self.chunk != 0;
+            if same_chunk && i + 1 < self.lens.len() && self.lens[i + 1] > len {
+                return Err(format!(
+                    "chunk {}: lane {} is longer than the lane before it",
+                    i / self.chunk,
+                    (i + 1) % self.chunk
+                ));
             }
         }
         if self.chunk_off.first() != Some(&0) || self.chunk_off.last() != Some(&self.src.len()) {
@@ -1832,5 +1876,145 @@ mod tests {
         p.spmv_into(&a, &v, &mut u);
         assert_eq!(u, reference, "padding participated in the sum");
         assert!(u[2..].iter().all(|&x| x == 0.0));
+    }
+
+    /// Swap lanes `l1` and `l2` (both past lane 0, so the chunk width is
+    /// unchanged) of chunk `c`, moving their source slots with them:
+    /// every slot still mirrors the CSR entry it names, only the lane
+    /// order changes.
+    fn swap_lanes(p: &mut PackedSell<f64>, c: usize, l1: usize, l2: usize) {
+        assert!(l1 > 0 && l2 > 0);
+        let lane0 = c * p.chunk;
+        let lanes = (p.rows.len() - lane0).min(p.chunk);
+        let width = p.lens[lane0] as usize;
+        p.rows.swap(lane0 + l1, lane0 + l2);
+        p.lens.swap(lane0 + l1, lane0 + l2);
+        let off = p.chunk_off[c];
+        for j in 0..width {
+            p.src.swap(off + j * lanes + l1, off + j * lanes + l2);
+        }
+        // Force the next refresh to re-gather in the swapped order.
+        p.vals.get_mut().unwrap().source = 0;
+    }
+
+    #[test]
+    fn check_against_rejects_a_longer_lane_after_a_shorter_one() {
+        // One chunk of rows with 4, 3, 2, 1 entries. Swapping the last
+        // two lanes keeps every slot honest but breaks the prefix rule
+        // the kernels rely on (lane 2 would be treated as active at a
+        // column where it only has padding).
+        let mut coo = crate::CooMatrix::<f64>::new(4, 8);
+        for r in 0..4usize {
+            for k in 0..4 - r {
+                coo.push(r, (r + 2 * k) % 8, (r * 4 + k) as f64 + 1.0);
+            }
+        }
+        let a = coo.to_csr();
+        let rows = all_rows(&a);
+        let mut p = PackedSell::from_rows(&a, &rows, 4);
+        p.check_against(&a, &rows).unwrap();
+        assert_eq!(p.lens, [4, 3, 2, 1]);
+        swap_lanes(&mut p, 0, 2, 3);
+        let err = p.check_against(&a, &rows).unwrap_err();
+        assert!(
+            err.contains("longer than the lane before it"),
+            "wrong defect named: {err}"
+        );
+    }
+
+    /// Rows whose lengths cycle through a pattern, so every σ window
+    /// holds short and long rows alike: a global sort would move rows
+    /// across the whole list, the windowed sort must not.
+    fn interleaved_lengths(m: usize) -> CsrMatrix<f64> {
+        let n = 300;
+        let mut coo = crate::CooMatrix::<f64>::new(m, n);
+        for r in 0..m {
+            let len = 1 + (r * 7) % 13;
+            for k in 0..len {
+                coo.push(r, (r * 5 + k * 17) % n, ((r + 3 * k) % 23) as f64 - 11.0);
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn sigma_windows_keep_rows_local_and_results_bit_for_bit() {
+        // 3 windows of 64 chunks plus a ragged tail: neither the row
+        // count nor the subset size is a multiple of the window or of C.
+        let a = interleaved_lengths(64 * 4 * 3 + 37);
+        let v: Vec<f64> = (0..a.n_cols()).map(|i| (i % 9) as f64 - 4.0).collect();
+        let reference = a.spmv_seq_alloc(&v).unwrap();
+        let every: Vec<u32> = (0..a.n_rows() as u32).collect();
+        let sparse_subset: Vec<u32> = every.iter().copied().filter(|r| r % 3 != 0).collect();
+        for rows in [&every, &sparse_subset] {
+            for chunk in [3, 4, 8] {
+                let p = PackedSell::from_rows(&a, rows, chunk);
+                p.check_against(&a, rows).unwrap();
+                let lens: Vec<usize> = rows.iter().map(|&r| a.row_nnz(r as usize)).collect();
+                assert_eq!(sell_slots(&lens, chunk), p.slots(), "chunk {chunk}");
+                // Each window packs exactly the rows of its slice of the
+                // caller's list.
+                let window = SIGMA_CHUNKS * chunk;
+                for (mine, theirs) in p.rows().chunks(window).zip(rows.chunks(window)) {
+                    let mut mine = mine.to_vec();
+                    mine.sort_unstable();
+                    assert_eq!(mine, theirs, "chunk {chunk}: a row left its window");
+                }
+                // Lengths restart high in every window: not a global sort.
+                assert!(
+                    p.lens.windows(2).any(|w| w[1] > w[0]),
+                    "chunk {chunk}: expected more than one σ window"
+                );
+                let mut u = vec![f64::NAN; a.n_rows()];
+                for &r in rows.iter() {
+                    u[r as usize] = 0.0;
+                }
+                p.spmv_into(&a, &v, &mut u);
+                for &r in rows.iter() {
+                    assert_eq!(
+                        u[r as usize].to_bits(),
+                        reference[r as usize].to_bits(),
+                        "chunk {chunk}, row {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_aligned_repack_spans_several_windows() {
+        // 120 blocks of 6 identical rows (720 rows): at C = 8 the σ
+        // window (512 rows) cuts a run in two; the run-aligned height 6
+        // gives 384-row windows that hold whole blocks.
+        let blocks = 120usize;
+        let mut coo = crate::CooMatrix::<f64>::new(blocks * 6, 5_000);
+        for b in 0..blocks {
+            let len = 3 + b % 4;
+            for l in 0..6usize {
+                let r = b * 6 + l;
+                for k in 0..len {
+                    coo.push(r, (b * 991 + k * 613) % 5_000, (r * 7 + k) as f64 - 9.0);
+                }
+            }
+        }
+        let a = coo.to_csr();
+        let rows = all_rows(&a);
+        let p8 = PackedSell::from_rows(&a, &rows, 8);
+        p8.check_against(&a, &rows).unwrap();
+        assert_eq!(p8.identical_run_chunk(&a), Some(6));
+        let p6 = PackedSell::from_rows(&a, &rows, 6);
+        p6.check_against(&a, &rows).unwrap();
+        assert!(p6.n_chunks() > SIGMA_CHUNKS, "need more than one window");
+        assert_eq!(p6.index_kind(), IndexKind::U8);
+        assert!(p6.index_stream_bytes() < p8.index_stream_bytes());
+        let v: Vec<f64> = (0..a.n_cols())
+            .map(|i| ((i * 3) % 11) as f64 - 5.0)
+            .collect();
+        let reference = a.spmv_seq_alloc(&v).unwrap();
+        for p in [&p8, &p6] {
+            let mut u = vec![0.0f64; a.n_rows()];
+            p.spmv_into(&a, &v, &mut u);
+            assert_eq!(u, reference, "chunk {} diverges", p.chunk());
+        }
     }
 }
