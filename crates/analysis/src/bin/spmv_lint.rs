@@ -227,7 +227,7 @@ fn check_concurrency() -> usize {
     // The shipped protocols must pass…
     let sound: [(&str, Verdict); 7] = [
         (
-            "worker-team wake and complete (3 workers, 2 regions)",
+            "worker-team wake, claim and complete (3 workers, 2 regions)",
             explore(TeamModel::correct(3, 2), BUDGET),
         ),
         (
@@ -266,7 +266,7 @@ fn check_concurrency() -> usize {
 
     // …and the injected bugs must be *caught* (checker self-test).
     type Expect = fn(&Verdict) -> bool;
-    let buggy: [(&str, Verdict, Expect); 8] = [
+    let buggy: [(&str, Verdict, Expect); 9] = [
         (
             "team wake without the region lock is detected as a lost wakeup",
             explore(TeamModel::wake_without_lock(2, 2), BUDGET),
@@ -276,6 +276,11 @@ fn check_concurrency() -> usize {
             "team completion without the done lock is detected as a lost wakeup",
             explore(TeamModel::complete_without_lock(2, 2), BUDGET),
             |v| matches!(v, Verdict::Deadlock { .. }),
+        ),
+        (
+            "team role run without a claim is detected as a double run",
+            explore(TeamModel::run_without_claim(2, 2), BUDGET),
+            |v| matches!(v, Verdict::Violation { .. }),
         ),
         (
             "racy cursor claim is detected as double write",

@@ -8,13 +8,17 @@
 //! * [`TeamModel`] — the persistent worker team's region protocol
 //!   (`Team` in `crates/parallel/src/team.rs`), over back-to-back
 //!   regions: the caller publishes a new generation and notifies the
-//!   parked workers under the region lock, and the last worker to finish
-//!   notifies the caller under the done lock. Two buggy variants: the
-//!   caller bumps the generation and notifies without the region lock
-//!   (the bump lands between a worker's locked check and its sleep), or
-//!   the last worker notifies without the done lock (the notify lands
-//!   between the caller's check and its sleep). Either leaves a thread
-//!   asleep forever (detected as a deadlock).
+//!   parked workers under the region lock, each role is claimed once —
+//!   by its worker or, if the worker has not started it when role 0 is
+//!   done, by the caller — and the last worker to finish notifies the
+//!   caller under the done lock. Three buggy variants: the caller bumps
+//!   the generation and notifies without the region lock (the bump lands
+//!   between a worker's locked check and its sleep), or the last worker
+//!   notifies without the done lock (the notify lands between the
+//!   caller's check and its sleep) — either leaves a thread asleep
+//!   forever (detected as a deadlock) — or a worker runs its role without
+//!   claiming it, so the caller's take-back runs it a second time
+//!   (detected as a violation).
 //! * [`CursorModel`] — the dynamic-chunk claim in `parallel_for`
 //!   (`crates/parallel/src/scope.rs`): workers claim chunks with one
 //!   atomic `fetch_add`. The buggy variant splits the claim into a read
@@ -67,12 +71,16 @@ use crate::interleave::Model;
 /// Thread ids `0..workers` are the parked workers, `workers` is the
 /// caller. Per region the caller sets `pending`, bumps the generation and
 /// notifies the workers' condition variable under the region lock, runs
-/// role 0, then waits under the done lock until `pending == 0`. A worker
-/// checks the generation under the region lock and, if it has seen it,
-/// sleeps (an atomic unlock-and-sleep); otherwise it runs its role,
-/// decrements `pending`, and the last one notifies the caller under the
-/// done lock. The bounded spins that precede both sleeps only poll, so
-/// they are not modelled: the decision to sleep is always the locked one.
+/// role 0, takes back every worker role not yet claimed (claims it, runs
+/// it, decrements `pending`), then waits under the done lock until
+/// `pending == 0`. A worker checks the generation under the region lock
+/// and, if it has seen it, sleeps (an atomic unlock-and-sleep); otherwise
+/// it claims its role — an atomic raise of its slot to the generation,
+/// which fails if the slot is already there — and, if it won, runs the
+/// role, decrements `pending`, and the last one notifies the caller under
+/// the done lock. The bounded spins that precede both sleeps only poll,
+/// so they are not modelled: the decision to sleep is always the locked
+/// one.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct TeamModel {
     /// Published generation (regions opened so far).
@@ -93,8 +101,14 @@ pub struct TeamModel {
     caller_asleep: bool,
     /// Per worker: last generation seen.
     seen: Vec<u8>,
-    /// Per worker: roles run so far.
+    /// Per worker: roles run so far, by the worker or by the caller.
     ran: Vec<u8>,
+    /// Per worker: the last generation whose role was claimed.
+    claimed: Vec<u8>,
+    /// The worker role the caller is taking back (index into `claimed`).
+    take: u8,
+    /// Set when a worker ran a role of a region its caller had joined.
+    stale_run: Option<usize>,
     worker_pc: Vec<u8>,
     caller_pc: u8,
     bug: TeamBug,
@@ -110,6 +124,8 @@ enum TeamBug {
     WakeWithoutLock,
     /// The last worker notifies the caller without the done lock.
     CompleteWithoutLock,
+    /// A woken worker runs its role without claiming it.
+    RunWithoutClaim,
 }
 
 impl TeamModel {
@@ -130,6 +146,12 @@ impl TeamModel {
         Self::new(workers, regions, TeamBug::CompleteWithoutLock)
     }
 
+    /// A woken worker runs its role without claiming it, racing the
+    /// caller's take-back — the double run.
+    pub fn run_without_claim(workers: u8, regions: u8) -> Self {
+        Self::new(workers, regions, TeamBug::RunWithoutClaim)
+    }
+
     fn new(workers: u8, regions: u8, bug: TeamBug) -> Self {
         let w = workers as usize;
         Self {
@@ -143,6 +165,9 @@ impl TeamModel {
             caller_asleep: false,
             seen: vec![0; w],
             ran: vec![0; w],
+            claimed: vec![0; w],
+            take: 0,
+            stale_run: None,
             worker_pc: vec![0; w],
             caller_pc: 0,
             bug,
@@ -155,17 +180,20 @@ impl TeamModel {
 }
 
 // Worker pcs: 0 = acquire region lock; 1 = locked generation check
-// (new → unlock and run; seen → stay locked for the wait; all regions
+// (new → unlock and claim; seen → stay locked for the wait; all regions
 // seen → exit); 2 = cv-wait (atomic unlock + sleep); 3 = asleep, wake
-// reacquires the region lock; 4 = run role; 5 = pending.fetch_sub;
-// 6 = acquire done lock (or, buggy, notify without it); 7 = notify +
-// unlock; 9 = exited.
+// reacquires the region lock; 8 = claim (won → run; lost → back to 0;
+// buggy: always run); 4 = run role; 5 = pending.fetch_sub; 6 = acquire
+// done lock (or, buggy, notify without it); 7 = notify + unlock;
+// 9 = exited.
 // Caller pcs: 0 = open the next region (set pending) or finish;
 // 1 = acquire region lock (buggy: bump unlocked); 2 = bump + notify +
-// unlock (buggy: notify unlocked); 3 = run role 0; 4 = acquire done
-// lock; 5 = locked pending check (zero → unlock and join; else stay
-// locked for the wait); 7 = cv-wait (atomic unlock + sleep); 6 =
-// asleep, wake reacquires the done lock; 9 = done.
+// unlock (buggy: notify unlocked); 3 = run role 0; 10 = claim worker
+// role `take` (won → 11; lost → next role; none left → 4); 11 = run it;
+// 12 = pending.fetch_sub, next role; 4 = acquire done lock; 5 = locked
+// pending check (zero → unlock and join; else stay locked for the
+// wait); 7 = cv-wait (atomic unlock + sleep); 6 = asleep, wake
+// reacquires the done lock; 9 = done.
 impl Model for TeamModel {
     fn n_threads(&self) -> usize {
         self.worker_pc.len() + 1
@@ -203,7 +231,7 @@ impl Model for TeamModel {
                     if self.generation != self.seen[t] {
                         self.seen[t] = self.generation;
                         self.region_lock = None;
-                        self.worker_pc[t] = 4;
+                        self.worker_pc[t] = 8;
                     } else if self.seen[t] == self.regions {
                         self.region_lock = None;
                         self.worker_pc[t] = 9;
@@ -216,7 +244,20 @@ impl Model for TeamModel {
                     self.asleep[t] = true;
                     self.worker_pc[t] = 3;
                 }
+                8 => {
+                    if self.bug == TeamBug::RunWithoutClaim {
+                        self.worker_pc[t] = 4;
+                    } else if self.claimed[t] < self.seen[t] {
+                        self.claimed[t] = self.seen[t];
+                        self.worker_pc[t] = 4;
+                    } else {
+                        self.worker_pc[t] = 0;
+                    }
+                }
                 4 => {
+                    if self.seen[t] <= self.joined {
+                        self.stale_run.get_or_insert(t);
+                    }
                     self.ran[t] += 1;
                     self.worker_pc[t] = 5;
                 }
@@ -269,7 +310,28 @@ impl Model for TeamModel {
                     self.asleep.iter_mut().for_each(|a| *a = false);
                     self.caller_pc = 3;
                 }
-                3 => self.caller_pc = 4,
+                3 => self.caller_pc = 10,
+                10 => {
+                    let w = self.take as usize;
+                    if w == self.claimed.len() {
+                        self.take = 0;
+                        self.caller_pc = 4;
+                    } else if self.claimed[w] < self.generation {
+                        self.claimed[w] = self.generation;
+                        self.caller_pc = 11;
+                    } else {
+                        self.take += 1;
+                    }
+                }
+                11 => {
+                    self.ran[self.take as usize] += 1;
+                    self.caller_pc = 12;
+                }
+                12 => {
+                    self.pending -= 1;
+                    self.take += 1;
+                    self.caller_pc = 10;
+                }
                 4 | 6 => {
                     self.done_lock = Some(me);
                     self.caller_pc = 5;
@@ -306,7 +368,12 @@ impl Model for TeamModel {
             ));
         }
         if let Some(w) = self.ran.iter().position(|&r| r > self.generation) {
-            return Some(format!("worker {w} ran a role twice in one region"));
+            return Some(format!("worker {w}'s role ran twice in one region"));
+        }
+        if let Some(w) = self.stale_run {
+            return Some(format!(
+                "worker {w} ran a role of a region its caller had joined"
+            ));
         }
         None
     }
@@ -1108,6 +1175,19 @@ mod tests {
         ] {
             let v = explore(model, BUDGET);
             assert!(matches!(v, Verdict::Deadlock { .. }), "got {v}");
+        }
+    }
+
+    #[test]
+    fn unclaimed_worker_role_runs_twice() {
+        for workers in 1..=2 {
+            let v = explore(TeamModel::run_without_claim(workers, 1), BUDGET);
+            match v {
+                Verdict::Violation { message, .. } => {
+                    assert!(message.contains("twice"), "unexpected message {message}");
+                }
+                other => panic!("workers={workers}: expected a violation, got {other}"),
+            }
         }
     }
 

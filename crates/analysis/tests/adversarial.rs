@@ -222,6 +222,17 @@ fn lost_wakeup_bug_is_found_and_correct_protocol_is_not_flagged() {
 }
 
 #[test]
+fn unclaimed_team_role_is_found_running_twice() {
+    match explore(TeamModel::run_without_claim(2, 2), 500_000) {
+        Verdict::Violation { trace, message } => {
+            assert!(!trace.is_empty());
+            assert!(message.contains("twice"), "got message: {message}");
+        }
+        other => panic!("expected Violation, got {other}"),
+    }
+}
+
+#[test]
 fn double_write_bug_is_found_with_a_schedule() {
     match explore(CursorModel::racy_claim(2, 2), 500_000) {
         Verdict::Violation { trace, message } => {

@@ -10,8 +10,10 @@
 //! * a persistent worker [`team`]: `num_threads() − 1` parked workers
 //!   started once per process, plus the calling thread as role 0. Every
 //!   dispatcher below opens one team region per call, so an execute pays
-//!   a condition-variable wake instead of a thread spawn/join, and a
-//!   role maps to the same OS thread on every call;
+//!   a condition-variable wake instead of a thread spawn/join, a role
+//!   maps to the same OS thread on every call its worker starts in time,
+//!   and the caller runs any worker role still unstarted when its own
+//!   is done;
 //! * [`parallel_for`]-style free functions over borrowed data with
 //!   dynamic (atomic-counter) chunk scheduling — the moral equivalent of
 //!   a `#pragma omp parallel for schedule(dynamic)`;

@@ -13,12 +13,20 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Run one region and return `(roles, distinct threads that ran a role)`.
+/// Role 0 holds the caller until every role has started (for at most
+/// 10 s), so no worker role is taken back by the caller for being late.
 fn probe_region() -> (usize, usize) {
     let roles = AtomicUsize::new(0);
+    let started = AtomicUsize::new(0);
     let ids: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
-    region(num_threads(), |_, n| {
+    region(num_threads(), |role, n| {
         roles.store(n, Ordering::Relaxed);
         ids.lock().unwrap().insert(std::thread::current().id());
+        started.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while role == 0 && started.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
     });
     let distinct = ids.lock().unwrap().len();
     (roles.load(Ordering::Relaxed), distinct)
